@@ -92,19 +92,49 @@ module Encoder = struct
       e.range <- e.range lsl 8
     done
 
+  (* The encoder twin of [Decoder.decode_tree]: code the low [width]
+     bits of [value], most significant first, down the implicit heap at
+     [tree] in [probs], with the interval registers in locals for the
+     whole descent; renormalisation hands [low] back to the record for
+     [shift_low]. *)
+  let encode_tree e probs ~tree ~width value =
+    let low = ref e.low and range = ref e.range in
+    let node = ref 1 in
+    for k = width - 1 downto 0 do
+      let bit = (value lsr k) land 1 in
+      let bound = (!range lsr scale_bits) * Array.unsafe_get probs (tree + !node) in
+      if bit = 0 then range := bound
+      else begin
+        low := !low + bound;
+        range := !range - bound
+      end;
+      while !range < renorm_limit do
+        e.low <- !low;
+        shift_low e;
+        low := e.low;
+        range := !range lsl 8
+      done;
+      node := (2 * !node) + bit
+    done;
+    e.low <- !low;
+    e.range <- !range
+
   let finish e =
     (* Choose the value in [low, low+range) with the most trailing zero
        bits; its trailing zero bytes need not be stored because the decoder
        reads zeros past end of input. *)
     let hi = e.low + e.range - 1 in
-    let rec choose k =
-      if k = 0 then e.low
-      else
-        let mask = (1 lsl k) - 1 in
-        let v = (e.low + mask) land lnot mask in
-        if v <= hi then v else choose (k - 1)
-    in
-    e.low <- choose 24;
+    let k = ref 24 in
+    while
+      !k > 0
+      &&
+      let mask = (1 lsl !k) - 1 in
+      (e.low + mask) land lnot mask > hi
+    do
+      decr k
+    done;
+    let mask = (1 lsl !k) - 1 in
+    e.low <- (e.low + mask) land lnot mask;
     for _ = 1 to 3 do
       shift_low e
     done;
@@ -113,12 +143,11 @@ module Encoder = struct
     for _ = 1 to e.pending do
       Buffer.add_char e.buf '\xff'
     done;
-    let s = Buffer.contents e.buf in
-    let n = ref (String.length s) in
-    while !n > 0 && s.[!n - 1] = '\x00' do
+    let n = ref (Buffer.length e.buf) in
+    while !n > 0 && Buffer.nth e.buf (!n - 1) = '\x00' do
       decr n
     done;
-    String.sub s 0 !n
+    Buffer.sub e.buf 0 !n
 end
 
 module Decoder = struct

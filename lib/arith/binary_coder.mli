@@ -41,6 +41,15 @@ module Encoder : sig
   val encode : t -> p0:int -> int -> unit
   (** [encode e ~p0 bit] codes [bit] (0 or 1) under prediction [p0]. *)
 
+  val encode_tree : t -> int array -> tree:int -> width:int -> int -> unit
+  (** [encode_tree e probs ~tree ~width value] codes the low [width] bits
+      of [value], most significant first, in one descent of an
+      implicit-heap prediction tree: each bit under [probs.(tree + node)],
+      starting at node 1 and moving to [2*node + bit] — the inverse of
+      {!Decoder.decode_tree}, and exactly equivalent to [width] calls of
+      {!encode}. [probs.(tree + node)] must be a valid prediction for
+      every visited node (indices are not bounds-checked). *)
+
   val finish : t -> string
   (** Terminates the stream and returns the encoded bytes (trailing zero
       bytes removed). The encoder must not be reused afterwards. *)

@@ -20,7 +20,10 @@ type t = {
   stream_base : int array;
 }
 
-let flatten ~widths ~context_bits probs =
+(* Offsets of each stream's first tree in the flat layout: the tree for
+   (stream, ctx) starts at [base.(stream) + ctx lsl widths.(stream)].
+   Returns the bases and the total length. *)
+let flat_layout ~widths ~context_bits =
   let contexts = 1 lsl context_bits in
   let stream_base = Array.make (Array.length widths) 0 in
   let total = ref 0 in
@@ -29,7 +32,11 @@ let flatten ~widths ~context_bits probs =
       stream_base.(s) <- !total;
       total := !total + (contexts lsl w))
     widths;
-  let flat = Array.make !total 0 in
+  (stream_base, !total)
+
+let flatten ~widths ~context_bits probs =
+  let stream_base, total = flat_layout ~widths ~context_bits in
+  let flat = Array.make total 0 in
   Array.iteri
     (fun s per_ctx ->
       Array.iteri
@@ -52,48 +59,57 @@ let check_params ~widths ~context_bits =
     invalid_arg "Markov_model: context_bits out of [0,8]"
 
 module Trainer = struct
+  (* Counts live in the model's flat layout (see [flat_layout]), so a
+     caller walking words can bump them by one computed index per bit. *)
   type t = {
     widths : int array;
     context_bits : int;
-    zeros : int array array array;
-    totals : int array array array;
+    stream_base : int array;
+    zeros : int array;
+    totals : int array;
   }
 
   let create ~widths ~context_bits =
     check_params ~widths ~context_bits;
-    let contexts = 1 lsl context_bits in
-    let alloc () =
-      Array.map (fun w -> Array.init contexts (fun _ -> Array.make (1 lsl w) 0)) widths
-    in
-    { widths = Array.copy widths; context_bits; zeros = alloc (); totals = alloc () }
+    let stream_base, total = flat_layout ~widths ~context_bits in
+    {
+      widths = Array.copy widths;
+      context_bits;
+      stream_base;
+      zeros = Array.make total 0;
+      totals = Array.make total 0;
+    }
+
+  let tree_offset t ~stream ~ctx = t.stream_base.(stream) + (ctx lsl t.widths.(stream))
+
+  let note_at t i bit =
+    Array.unsafe_set t.totals i (Array.unsafe_get t.totals i + 1);
+    if bit = 0 then Array.unsafe_set t.zeros i (Array.unsafe_get t.zeros i + 1)
 
   let note t ~stream ~ctx ~node bit =
-    let z = t.zeros.(stream).(ctx) and tot = t.totals.(stream).(ctx) in
-    tot.(node) <- tot.(node) + 1;
-    if bit = 0 then z.(node) <- z.(node) + 1
+    if node < 0 || node >= 1 lsl t.widths.(stream) || ctx < 0 || ctx >= 1 lsl t.context_bits then
+      invalid_arg "Markov_model.Trainer.note: position out of range";
+    note_at t (tree_offset t ~stream ~ctx + node) bit
+
+  let zeros t i = t.zeros.(i)
+
+  let total t i = t.totals.(i)
 
   let finalize ?(quantize = false) ?(prune_below = 0) t =
     let prob z tot =
       let p = Coder.prob_of_counts ~zeros:z ~ones:(tot - z) in
       if quantize then Coder.quantize_pow2 p else p
     in
-    let probs =
+    let contexts = 1 lsl t.context_bits in
+    let per_tree f =
       Array.mapi
-        (fun s per_ctx ->
-          Array.mapi
-            (fun c zeros -> Array.mapi (fun node z -> prob z t.totals.(s).(c).(node)) zeros)
-            per_ctx)
-        t.zeros
+        (fun s w ->
+          Array.init contexts (fun c -> Array.init (1 lsl w) (f (tree_offset t ~stream:s ~ctx:c))))
+        t.widths
     in
+    let probs = per_tree (fun off node -> prob t.zeros.(off + node) t.totals.(off + node)) in
     let retained =
-      Array.mapi
-        (fun s per_ctx ->
-          Array.mapi
-            (fun c _ ->
-              Array.init (Array.length t.totals.(s).(c)) (fun node ->
-                  node = 1 || (node > 1 && t.totals.(s).(c).(node) >= prune_below)))
-            per_ctx)
-        t.zeros
+      per_tree (fun off node -> node = 1 || (node > 1 && t.totals.(off + node) >= prune_below))
     in
     (* back off: a pruned node inherits its parent's prediction *)
     Array.iteri

@@ -27,7 +27,24 @@ module Trainer : sig
 
   val note : t -> stream:int -> ctx:int -> node:int -> int -> unit
   (** [note t ~stream ~ctx ~node bit] counts one observed bit at a tree
-      position. *)
+      position.
+      @raise Invalid_argument if the position is outside the trees. *)
+
+  val tree_offset : t -> stream:int -> ctx:int -> int
+  (** Base index of one (stream, context) tree in the trainer's flat
+      count arrays — the same layout as the finalized model's
+      {!flat_probs}, so [tree_offset + node] indexes both. *)
+
+  val note_at : t -> int -> int -> unit
+  (** [note_at t i bit] is [note] at flat index [i = tree_offset + node],
+      unchecked: the per-bit training loop computes [i] itself.
+      [i] must be a valid index. *)
+
+  val zeros : t -> int -> int
+  (** Zero bits counted at a flat index. *)
+
+  val total : t -> int -> int
+  (** Bits counted at a flat index. *)
 
   val finalize : ?quantize:bool -> ?prune_below:int -> t -> model
   (** Convert counts to 12-bit probabilities. [quantize] (default false)

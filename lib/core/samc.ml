@@ -84,85 +84,28 @@ let block_count c ~code_bytes =
 let get_word c code word_index =
   let wb = word_bytes c in
   let base = word_index * wb in
-  let rec go acc i = if i = wb then acc else go ((acc lsl 8) lor Char.code code.[base + i]) (i + 1) in
-  go 0 0
+  let acc = ref 0 in
+  for i = 0 to wb - 1 do
+    acc := (!acc lsl 8) lor Char.code code.[base + i]
+  done;
+  !acc
 
-(* Walk one word through the model, calling [visit stream ctx node bit]
-   for every coded bit; returns the context for the next word. *)
-let walk_word c word ~ctx visit =
+(* Count every coded bit of [code] at its tree position: the walk of
+   [encode_block_with] (context reset at each block start), bumping the
+   trainer's flat counts instead of coding. *)
+let count_bits c code =
+  let widths = Stream_split.widths c.streams in
+  let trainer = Markov_model.Trainer.create ~widths ~context_bits:c.context_bits in
+  let n_streams = Array.length widths in
+  let base =
+    Array.init n_streams (fun s -> Markov_model.Trainer.tree_offset trainer ~stream:s ~ctx:0)
+  in
   let ctx_mask = (1 lsl c.context_bits) - 1 in
-  let current_ctx = ref ctx in
-  Array.iteri
-    (fun s positions ->
-      let node = ref 1 in
-      let value = ref 0 in
-      Array.iter
-        (fun pos ->
-          let bit = (word lsr (c.word_bits - 1 - pos)) land 1 in
-          visit s !current_ctx !node bit;
-          node := (2 * !node) + bit;
-          value := (!value lsl 1) lor bit)
-        positions;
-      current_ctx := !value land ctx_mask)
-    c.streams;
-  !current_ctx
-
-let train c code =
-  let trainer = Markov_model.Trainer.create ~widths:(Stream_split.widths c.streams) ~context_bits:c.context_bits in
   let words = String.length code / word_bytes c in
   let wpb = words_per_block c in
   let ctx = ref 0 in
   for wi = 0 to words - 1 do
     if wi mod wpb = 0 then ctx := 0;
-    ctx :=
-      walk_word c (get_word c code wi) ~ctx:!ctx (fun stream ctx node bit ->
-          Markov_model.Trainer.note trainer ~stream ~ctx ~node bit)
-  done;
-  Markov_model.Trainer.finalize ~quantize:c.quantize ~prune_below:c.prune_below trainer
-
-(* Per-stream cost accounting under the trained model (metrics-only
-   pass, so the encode hot loop stays untouched): bits_in counts the
-   stream's raw bits, bits_out the ideal arithmetic-code length
-   [sum -log2 p(bit)] — the per-stream in/out split of Tables 1-3. The
-   ideal length differs from the shipped size only by per-block coder
-   flush rounding. *)
-let note_stream_costs c model code =
-  let words = String.length code / word_bytes c in
-  let wpb = words_per_block c in
-  let n_streams = Array.length c.streams in
-  let bits_in = Array.make n_streams 0 in
-  let bits_out = Array.make n_streams 0.0 in
-  let fscale = float_of_int Coder.scale in
-  let ctx = ref 0 in
-  for wi = 0 to words - 1 do
-    if wi mod wpb = 0 then ctx := 0;
-    ctx :=
-      walk_word c (get_word c code wi) ~ctx:!ctx (fun s ctx node bit ->
-          let p0 = Markov_model.p0 model ~stream:s ~ctx ~node in
-          let p = if bit = 0 then p0 else Coder.scale - p0 in
-          bits_in.(s) <- bits_in.(s) + 1;
-          bits_out.(s) <- bits_out.(s) -. Float.log2 (float_of_int p /. fscale))
-  done;
-  for s = 0 to n_streams - 1 do
-    Obs.Counter.add (Obs.Counter.make (Printf.sprintf "samc.stream%d.bits_in" s)) bits_in.(s);
-    Obs.Counter.add
-      (Obs.Counter.make (Printf.sprintf "samc.stream%d.bits_out" s))
-      (int_of_float (Float.round bits_out.(s)));
-    if bits_in.(s) > 0 then
-      Obs.Gauge.set
-        (Obs.Gauge.make (Printf.sprintf "samc.stream%d.ratio" s))
-        (bits_out.(s) /. float_of_int bits_in.(s))
-  done
-
-(* Encode one block through a caller-owned encoder with the per-image
-   tables already hoisted — the parallel path reuses one encoder per
-   domain and builds the tables once per image, not per 32-byte block. *)
-let encode_block_with encoder c ~flat ~base ~widths code ~first_word ~n_words =
-  Coder.Encoder.reset encoder;
-  let n_streams = Array.length c.streams in
-  let ctx_mask = (1 lsl c.context_bits) - 1 in
-  let ctx = ref 0 in
-  for wi = first_word to first_word + n_words - 1 do
     let word = get_word c code wi in
     for s = 0 to n_streams - 1 do
       let positions = Array.unsafe_get c.streams s in
@@ -171,58 +114,93 @@ let encode_block_with encoder c ~flat ~base ~widths code ~first_word ~n_words =
       let node = ref 1 in
       for k = 0 to w - 1 do
         let bit = (word lsr (c.word_bits - 1 - Array.unsafe_get positions k)) land 1 in
-        Coder.Encoder.encode encoder ~p0:(Array.unsafe_get flat (tree + !node)) bit;
+        Markov_model.Trainer.note_at trainer (tree + !node) bit;
         node := (2 * !node) + bit
       done;
-      (* After w steps the heap index is 2^w + value, so the decoded
-         stream value needs no separate accumulator. *)
       ctx := (!node - (1 lsl w)) land ctx_mask
     done
   done;
-  Coder.Encoder.finish encoder
+  trainer
 
-let compress ?(jobs = 1) c code =
-  Obs.with_span ~cat:"samc" "samc.compress" @@ fun () ->
-  (match validate_config c with Ok () -> () | Error e -> invalid_arg ("Samc.compress: " ^ e));
-  if String.length code mod word_bytes c <> 0 then
-    invalid_arg "Samc.compress: code size is not a multiple of the word size";
-  let model = Obs.with_span ~cat:"samc" "samc.train" (fun () -> train c code) in
-  let instrument = Obs.metrics_enabled () in
-  if instrument then note_stream_costs c model code;
-  let words = String.length code / word_bytes c in
-  let wpb = words_per_block c in
-  let wb = word_bytes c in
-  let nblocks = block_count c ~code_bytes:(String.length code) in
-  (* Blocks restart the coder and context, so each encodes independently;
-     the pool reassembles in block order, keeping the output
-     byte-identical to a serial run. The per-image tables are hoisted
-     out of the block loop and each domain reuses one encoder. *)
+(* Per-stream cost of the counted bits under [model]: bits_in counts the
+   stream's raw bits, bits_out the ideal arithmetic-code length
+   [sum -log2 p(bit)] — the per-stream in/out split of Tables 1-3. A
+   tree position that saw z zeros out of t bits under prediction p0
+   costs [z * -log2 p0 + (t - z) * -log2 (1 - p0)], so the sum runs over
+   tree positions (streams x contexts x 2^w), not over coded bits. *)
+let costs_of_counts c trainer model =
+  let n_streams = Array.length c.streams in
+  let bits_in = Array.make n_streams 0 in
+  let bits_out = Array.make n_streams 0.0 in
   let flat = Markov_model.flat_probs model in
-  let base =
-    Array.init (Array.length c.streams) (fun s -> Markov_model.tree_offset model ~stream:s ~ctx:0)
-  in
-  let widths = Array.map Array.length c.streams in
-  let blocks =
-    Obs.with_span ~cat:"samc" "samc.encode" @@ fun () ->
-    Ccomp_par.Pool.init_local ~jobs nblocks
-      ~local:(fun () -> Coder.Encoder.create ())
-      (fun encoder b ->
-        let first_word = b * wpb in
-        let n_words = min wpb (words - first_word) in
-        if not instrument then encode_block_with encoder c ~flat ~base ~widths code ~first_word ~n_words
-        else begin
-          let t0 = Obs.now_us () in
-          let blk = encode_block_with encoder c ~flat ~base ~widths code ~first_word ~n_words in
-          Obs.Histogram.observe m_c_block_us (Obs.now_us () -. t0);
-          Obs.Counter.incr m_c_blocks;
-          Obs.Counter.add m_c_bytes_in (n_words * wb);
-          Obs.Counter.add m_c_bytes_out (String.length blk);
-          Obs.Histogram.observe m_c_block_ratio
-            (float_of_int (String.length blk) /. float_of_int (n_words * wb));
-          blk
-        end)
-  in
-  { config = c; model; blocks; original_size = String.length code }
+  let fscale = float_of_int Coder.scale in
+  let cost p = -.Float.log2 (float_of_int p /. fscale) in
+  for s = 0 to n_streams - 1 do
+    let w = Array.length c.streams.(s) in
+    for ctx = 0 to (1 lsl c.context_bits) - 1 do
+      let counts = Markov_model.Trainer.tree_offset trainer ~stream:s ~ctx in
+      let probs = Markov_model.tree_offset model ~stream:s ~ctx in
+      for node = 1 to (1 lsl w) - 1 do
+        let t = Markov_model.Trainer.total trainer (counts + node) in
+        if t > 0 then begin
+          let z = Markov_model.Trainer.zeros trainer (counts + node) in
+          let p0 = flat.(probs + node) in
+          bits_in.(s) <- bits_in.(s) + t;
+          bits_out.(s) <-
+            bits_out.(s)
+            +. (float_of_int z *. cost p0)
+            +. (float_of_int (t - z) *. cost (Coder.scale - p0))
+        end
+      done
+    done
+  done;
+  (bits_in, bits_out)
+
+let stream_costs c model code =
+  if
+    Markov_model.widths model <> Stream_split.widths c.streams
+    || Markov_model.context_bits model <> c.context_bits
+  then invalid_arg "Samc.stream_costs: model does not match the configuration";
+  costs_of_counts c (count_bits c code) model
+
+(* The samc.streamN.* metrics, registered once per stream index on first
+   use (registration formats names and takes the registry lock). Two
+   domains growing the table at once build the same handles, since
+   [make] is get-or-create, so either array may win. *)
+type stream_metrics = { bits_in : Obs.Counter.t; bits_out : Obs.Counter.t; ratio : Obs.Gauge.t }
+
+let stream_metrics = Atomic.make [||]
+
+let stream_metrics_upto n =
+  let have = Atomic.get stream_metrics in
+  if Array.length have >= n then have
+  else begin
+    let grown =
+      Array.init n (fun s ->
+          if s < Array.length have then have.(s)
+          else
+            {
+              bits_in = Obs.Counter.make (Printf.sprintf "samc.stream%d.bits_in" s);
+              bits_out = Obs.Counter.make (Printf.sprintf "samc.stream%d.bits_out" s);
+              ratio = Obs.Gauge.make (Printf.sprintf "samc.stream%d.ratio" s);
+            })
+    in
+    Atomic.set stream_metrics grown;
+    grown
+  end
+
+(* Publish the per-stream costs of the training counts under the trained
+   model (metrics only; the coded bits never depend on it). The ideal
+   length differs from the shipped size only by per-block coder flush
+   rounding. *)
+let note_stream_costs c trainer model =
+  let bits_in, bits_out = costs_of_counts c trainer model in
+  let ms = stream_metrics_upto (Array.length bits_in) in
+  for s = 0 to Array.length bits_in - 1 do
+    Obs.Counter.add ms.(s).bits_in bits_in.(s);
+    Obs.Counter.add ms.(s).bits_out (int_of_float (Float.round bits_out.(s)));
+    if bits_in.(s) > 0 then Obs.Gauge.set ms.(s).ratio (bits_out.(s) /. float_of_int bits_in.(s))
+  done
 
 (* Decode hot loop: the model is read through its flat probability array
    (one load per bit instead of three pointer chases), and each stream's
@@ -268,6 +246,88 @@ let decode_plan c model =
     p_shifts = shifts;
     p_low_shift = low_shift;
   }
+
+(* Encode one block through a caller-owned encoder with the per-image
+   tables hoisted into [p] (the decode plan, shared by both directions) —
+   the parallel path reuses one encoder per domain and builds the tables
+   once per image, not per 32-byte block. Each stream's bits are coded in
+   one {!Coder.Encoder.encode_tree} descent. *)
+let encode_block_with encoder c p code ~first_word ~n_words =
+  Coder.Encoder.reset encoder;
+  let ctx = ref 0 in
+  for wi = first_word to first_word + n_words - 1 do
+    let word = get_word c code wi in
+    for s = 0 to Array.length p.p_widths - 1 do
+      let w = Array.unsafe_get p.p_widths s in
+      let lo = Array.unsafe_get p.p_low_shift s in
+      let value =
+        if lo >= 0 then (word lsr lo) land ((1 lsl w) - 1)
+        else begin
+          let shift_s = Array.unsafe_get p.p_shifts s in
+          let v = ref 0 in
+          for k = 0 to w - 1 do
+            v := (!v lsl 1) lor ((word lsr Array.unsafe_get shift_s k) land 1)
+          done;
+          !v
+        end
+      in
+      let tree = Array.unsafe_get p.p_base s + (!ctx lsl w) in
+      Coder.Encoder.encode_tree encoder p.p_flat ~tree ~width:w value;
+      ctx := value land p.p_ctx_mask
+    done
+  done;
+  Coder.Encoder.finish encoder
+
+let compress ?(jobs = 1) c code =
+  Obs.with_span ~cat:"samc" "samc.compress" @@ fun () ->
+  (match validate_config c with Ok () -> () | Error e -> invalid_arg ("Samc.compress: " ^ e));
+  if String.length code mod word_bytes c <> 0 then
+    invalid_arg "Samc.compress: code size is not a multiple of the word size";
+  let trainer, model =
+    Obs.with_span ~cat:"samc" "samc.train" (fun () ->
+        let trainer = count_bits c code in
+        let model =
+          Markov_model.Trainer.finalize ~quantize:c.quantize ~prune_below:c.prune_below trainer
+        in
+        (trainer, model))
+  in
+  let instrument = Obs.metrics_enabled () in
+  if instrument then
+    Obs.with_span ~cat:"samc" "samc.costs" (fun () -> note_stream_costs c trainer model);
+  let words = String.length code / word_bytes c in
+  let wpb = words_per_block c in
+  let wb = word_bytes c in
+  let nblocks = block_count c ~code_bytes:(String.length code) in
+  (* Blocks restart the coder and context, so each encodes independently;
+     the pool reassembles in block order, keeping the output
+     byte-identical to a serial run. The per-image tables are hoisted
+     out of the block loop and each domain reuses one encoder. *)
+  let plan = decode_plan c model in
+  (* Each block lands in its own slot of an array made with a static
+     placeholder: building the array from the fresh payloads instead
+     (as an [init]/[map] does) would force a minor collection per call,
+     since the runtime promotes a young initial value of a large array. *)
+  let blocks = Array.make nblocks "" in
+  Obs.with_span ~cat:"samc" "samc.encode" (fun () ->
+      Ccomp_par.Pool.iter_n ~jobs nblocks
+        ~local:(fun () -> Coder.Encoder.create ())
+        (fun encoder b ->
+          let first_word = b * wpb in
+          let n_words = min wpb (words - first_word) in
+          if not instrument then
+            blocks.(b) <- encode_block_with encoder c plan code ~first_word ~n_words
+          else begin
+            let t0 = Obs.now_us () in
+            let blk = encode_block_with encoder c plan code ~first_word ~n_words in
+            Obs.Histogram.observe m_c_block_us (Obs.now_us () -. t0);
+            Obs.Counter.incr m_c_blocks;
+            Obs.Counter.add m_c_bytes_in (n_words * wb);
+            Obs.Counter.add m_c_bytes_out (String.length blk);
+            Obs.Histogram.observe m_c_block_ratio
+              (float_of_int (String.length blk) /. float_of_int (n_words * wb));
+            blocks.(b) <- blk
+          end));
+  { config = c; model; blocks; original_size = String.length code }
 
 (* Decode one block's words into [out] starting at byte [pos] — the
    zero-copy kernel: the full-image path points every block at its slice

@@ -45,6 +45,16 @@ val compress : ?jobs:int -> config -> string -> compressed
     order.
     @raise Invalid_argument on a bad config or size. *)
 
+val stream_costs : config -> Markov_model.t -> string -> int array * float array
+(** [stream_costs config model code] is, per stream, the number of bits
+    [code] puts in that stream and their ideal arithmetic-code length
+    [sum -log2 p(bit)] under [model] — the figures {!compress} publishes
+    as [samc.streamN.bits_in] / [bits_out] (there from the training
+    counts). Computed from per-position bit counts, so it costs one pass
+    over [code] plus one term per tree position.
+    @raise Invalid_argument if [model]'s widths or context bits differ
+    from [config]'s. *)
+
 val decompress_block : config -> Markov_model.t -> original_bytes:int -> string -> string
 (** [decompress_block config model ~original_bytes data] decodes one
     block's payload back to [original_bytes] of code — this is the cache

@@ -10,7 +10,9 @@
      kernel     fast decode kernels vs their reference implementations
                 (SAMC flat + nibble vs pointer-chasing ref, SADC
                 per-block refill vs whole-image decode, Huffman LUT vs
-                canonical tree walk)
+                canonical tree walk), and SAMC's predicted cost (the
+                ideal code length under its model) vs the payload bits
+                its coder emits
      parallel   ~jobs:N decompression and compression vs serial,
                 byte-for-byte, plus the SECF container's parallel path
      checked    `decompress_checked` on clean input vs the unchecked
@@ -205,6 +207,8 @@ type instance = {
   ci_serialize : string Lazy.t;  (** wire form of this compressed value *)
   ci_compress_parallel : (int -> string) option;  (** wire form of compress ~jobs *)
   ci_reserialized : unit -> string;  (** serialize → deserialize → decompress *)
+  ci_conservation : (unit -> (unit, string) result) option;
+      (** predicted coded size vs emitted bytes *)
 }
 
 (* The daemon and the CLI build SAMC with these exact settings; the
@@ -213,6 +217,25 @@ let samc_config ~isa ~block_size =
   match isa with
   | Mips -> Samc.mips_config ~block_size ~context_bits:2 ~quantize:false ~prune_below:0 ()
   | X86 -> Samc.byte_config ~block_size ~context_bits:2 ~quantize:false ~prune_below:0 ()
+
+(* SAMC's cost accounting must add up to what its coder emits. The ideal
+   code length of [code] under the model, summed over streams (the
+   samc.streamN.bits_out figures), differs from the payload bits only by
+   per-block coder rounding: the flush adds at most 3 bytes (24 bits) a
+   block, and trimming a block's trailing zero bytes can save a little,
+   which the 8 bits a block below the ideal allow for. *)
+let samc_conservation (z : Samc.compressed) code =
+  let _, bits_out = Samc.stream_costs z.Samc.config z.Samc.model code in
+  let ideal = Array.fold_left ( +. ) 0.0 bits_out in
+  let blocks = float_of_int (Array.length z.Samc.blocks) in
+  let actual = float_of_int (8 * Samc.code_bytes z) in
+  if actual >= ideal -. (8.0 *. blocks) && actual <= ideal +. (24.0 *. blocks) then Ok ()
+  else
+    Error
+      (Printf.sprintf
+         "payload is %.0f bits, ideal code length %.1f bits: %+.2f bits a block, outside [-8, +24]"
+         actual ideal
+         ((actual -. ideal) /. blocks))
 
 let make_samc ~isa ~block_size code =
   let cfg = samc_config ~isa ~block_size in
@@ -251,6 +274,7 @@ let make_samc ~isa ~block_size code =
       (fun () ->
         let z', _ = Samc.deserialize (Lazy.force serialized) ~pos:0 in
         Samc.decompress z');
+    ci_conservation = Some (fun () -> samc_conservation z code);
   }
 
 module Sadc_inst (I : Sadc_isa.S) = struct
@@ -283,6 +307,7 @@ module Sadc_inst (I : Sadc_isa.S) = struct
         (fun () ->
           let z', _ = M.deserialize (Lazy.force serialized) ~pos:0 in
           M.decompress z');
+      ci_conservation = None;
     }
 end
 
@@ -327,6 +352,7 @@ let make_byte_huffman ~block_size code =
       (fun () ->
         let z', _ = Byte_huffman.deserialize (Lazy.force serialized) ~pos:0 in
         Byte_huffman.decompress z');
+    ci_conservation = None;
   }
 
 (* Several pairs interrogate the same compressed program; memoize
@@ -388,6 +414,7 @@ let image_instance =
             match Image.read (Lazy.force serialized) with
             | Ok img' -> Image.decompress img'
             | Error e -> failwith ("SECF image does not read back: " ^ e));
+        ci_conservation = None;
       })
 
 let builders ~isa ~block_size =
@@ -403,7 +430,13 @@ let builders ~isa ~block_size =
 let kernel_check inst _code =
   let want = Lazy.force inst.ci_serial in
   let rec go n = function
-    | [] -> Pass n
+    | [] -> (
+      match inst.ci_conservation with
+      | None -> Pass n
+      | Some check -> (
+        match check () with
+        | Ok () -> Pass (n + 1)
+        | Error detail -> Diverge { detail = "cost conservation: " ^ detail; got = ""; want = "" }))
     | (kname, f) :: rest ->
       let got = f () in
       if String.equal got want then go (n + 1) rest

@@ -53,6 +53,13 @@ val run :
     (input, pair) plus one per divergence. Never raises on a divergence
     — only on harness-level failures (e.g. unknown progen profile). *)
 
+val samc_conservation : Ccomp_core.Samc.compressed -> string -> (unit, string) result
+(** [samc_conservation z code]: the payload bits of [z] must lie within
+    [-8, +24] bits a block of the ideal code length of [code] under
+    [z]'s model (the summed [samc.streamN.bits_out]) — the coder's flush
+    adds at most 3 bytes a block. [Error] names both figures. The
+    kernel pair runs it on every SAMC instance. *)
+
 val diff_location : block_size:int -> string -> string -> int option * int option
 (** [(block, absolute bit)] of the first difference between two byte
     strings, or [(None, None)] when equal. The bit is exact (MSB-first

@@ -142,6 +142,30 @@ let prop_adversarial_roundtrip =
       let bits = Array.init n (fun _ -> Prng.int g 2) in
       fst (roundtrip bits p0s))
 
+(* encode_tree must emit exactly the bytes of the per-bit encoder over
+   the same walk: random trees of random widths, values and predictions
+   (skewed and uncorrelated, so carries and pending 0xff runs occur). *)
+let prop_encode_tree_matches_encode =
+  QCheck.Test.make ~name:"encode_tree equals per-bit encode" ~count:200
+    QCheck.(pair (int_bound 300) int)
+    (fun (n, seed) ->
+      let g = Prng.create (Int64.of_int seed) in
+      let width = 1 + Prng.int g 12 in
+      let probs = Array.init (1 lsl width) (fun _ -> 1 + Prng.int g (Coder.scale - 1)) in
+      let values = Array.init n (fun _ -> Prng.int g (1 lsl width)) in
+      let by_tree = Coder.Encoder.create () and by_bit = Coder.Encoder.create () in
+      Array.iter
+        (fun v ->
+          Coder.Encoder.encode_tree by_tree probs ~tree:0 ~width v;
+          let node = ref 1 in
+          for k = width - 1 downto 0 do
+            let bit = (v lsr k) land 1 in
+            Coder.Encoder.encode by_bit ~p0:probs.(!node) bit;
+            node := (2 * !node) + bit
+          done)
+        values;
+      String.equal (Coder.Encoder.finish by_tree) (Coder.Encoder.finish by_bit))
+
 let suite =
   [
     Alcotest.test_case "empty stream" `Quick test_empty;
@@ -158,4 +182,5 @@ let suite =
     Alcotest.test_case "decoder position bounded" `Quick test_decoder_position;
     QCheck_alcotest.to_alcotest prop_random_roundtrip;
     QCheck_alcotest.to_alcotest prop_adversarial_roundtrip;
+    QCheck_alcotest.to_alcotest prop_encode_tree_matches_encode;
   ]

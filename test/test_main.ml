@@ -18,6 +18,7 @@ let () =
       ("nibble-decoder", Test_nibble.suite);
       ("sadc-isa", Test_sadc_isa.suite);
       ("sadc", Test_sadc.suite);
+      ("codec-alloc", Test_codec_alloc.suite);
       ("baselines", Test_baselines.suite);
       ("ppm", Test_ppm.suite);
       ("memsys", Test_memsys.suite);

@@ -236,6 +236,20 @@ let test_incremental_counts_checked () =
       (23L, Sadc.default_config ~max_rounds:64 (), "max_rounds 64");
     ]
 
+(* x86 instructions of one symbol can carry different operand counts, so
+   a specialisation may probe an item the instruction does not have —
+   the same per-round check on x86 code. *)
+let test_incremental_counts_checked_x86 () =
+  List.iter
+    (fun seed ->
+      let instrs = Option.get (X86.decode_program (x86_code seed)) in
+      let naive = Sadc.X86.For_tests.build_naive cfg instrs in
+      let checked = Sadc.X86.For_tests.build_incremental ~check:true cfg instrs in
+      Alcotest.(check bool)
+        (Printf.sprintf "seed %Ld: dict and rounds equal" seed)
+        true (naive = checked))
+    [ 24L; 25L ]
+
 let suite =
   [
     Alcotest.test_case "mips roundtrip" `Quick test_roundtrip_mips;
@@ -256,6 +270,8 @@ let suite =
     Alcotest.test_case "ratio accounting" `Quick test_ratio_better_than_tokens_alone;
     Alcotest.test_case "incremental counts verified per round" `Quick
       test_incremental_counts_checked;
+    Alcotest.test_case "incremental counts verified per round, x86" `Quick
+      test_incremental_counts_checked_x86;
     QCheck_alcotest.to_alcotest prop_incremental_matches_naive;
   ]
 

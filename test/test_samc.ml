@@ -1,5 +1,8 @@
 module Samc = Ccomp_core.Samc
 module Stream_split = Ccomp_core.Stream_split
+module Markov_model = Ccomp_core.Markov_model
+module Coder = Ccomp_arith.Binary_coder
+module Obs = Ccomp_obs.Obs
 module Prng = Ccomp_util.Prng
 module P = Ccomp_progen
 
@@ -9,6 +12,12 @@ let mips_code seed =
   in
   let prog = P.Generator.generate ~seed profile in
   (snd (P.Mips_backend.lower prog)).P.Layout.code
+
+let x86_code seed =
+  let profile =
+    { (P.Profile.find "xlisp") with P.Profile.name = "t"; target_ops = 600; functions = 8 }
+  in
+  (snd (P.X86_backend.lower (P.Generator.generate ~seed profile))).P.Layout.code
 
 let test_roundtrip_mips () =
   let code = mips_code 1L in
@@ -141,6 +150,99 @@ let test_ratio_accounting () =
   Alcotest.(check int) "code_bytes is the block sum" sum (Samc.code_bytes z);
   Alcotest.(check bool) "with model is larger" true (Samc.ratio_with_model z > Samc.ratio z)
 
+(* The per-bit reference for the per-stream costs: every coded bit walked
+   through the trained model the way the encoder walks it (context reset
+   at each block), summing -log2 p(bit) per stream. *)
+let walked_costs (c : Samc.config) model code =
+  let wb = c.Samc.word_bits / 8 in
+  let wpb = c.Samc.block_size / wb in
+  let n = Array.length c.Samc.streams in
+  let bits_in = Array.make n 0 and bits_out = Array.make n 0.0 in
+  let ctx_mask = (1 lsl c.Samc.context_bits) - 1 in
+  let ctx = ref 0 in
+  for wi = 0 to (String.length code / wb) - 1 do
+    if wi mod wpb = 0 then ctx := 0;
+    let word = ref 0 in
+    for j = 0 to wb - 1 do
+      word := (!word lsl 8) lor Char.code code.[(wi * wb) + j]
+    done;
+    Array.iteri
+      (fun s positions ->
+        let node = ref 1 and value = ref 0 in
+        Array.iter
+          (fun pos ->
+            let bit = (!word lsr (c.Samc.word_bits - 1 - pos)) land 1 in
+            let p0 = Markov_model.p0 model ~stream:s ~ctx:!ctx ~node:!node in
+            let p = if bit = 0 then p0 else Coder.scale - p0 in
+            bits_in.(s) <- bits_in.(s) + 1;
+            bits_out.(s) <- bits_out.(s) -. Float.log2 (float_of_int p /. float_of_int Coder.scale);
+            node := (2 * !node) + bit;
+            value := (!value lsl 1) lor bit)
+          positions;
+        ctx := !value land ctx_mask)
+      c.Samc.streams
+  done;
+  (bits_in, bits_out)
+
+(* The published samc.streamN.* figures come from the training counts;
+   they must equal the per-bit walk: bits_in exactly, bits_out after
+   the rounding it is published with. *)
+let test_stream_costs_match_walk () =
+  let mips = mips_code 14L and x86 = x86_code 14L in
+  let configs =
+    List.map
+      (fun context_bits -> ("mips 4x8", Samc.mips_config ~context_bits (), mips))
+      [ 0; 1; 2; 3 ]
+    @ List.map (fun context_bits -> ("byte", Samc.byte_config ~context_bits (), x86)) [ 0; 1; 2; 3 ]
+    @ [
+        ("mips quantized", Samc.mips_config ~quantize:true (), mips);
+        ("mips pruned", Samc.mips_config ~prune_below:6 (), mips);
+        ("byte quantized", Samc.byte_config ~quantize:true (), x86);
+        ("byte pruned", Samc.byte_config ~prune_below:6 (), x86);
+      ]
+  in
+  Fun.protect
+    ~finally:(fun () ->
+      Obs.set_metrics false;
+      Obs.reset ())
+  @@ fun () ->
+  List.iter
+    (fun (label, (c : Samc.config), code) ->
+      Obs.reset ();
+      Obs.set_metrics true;
+      let z = Samc.compress c code in
+      Obs.set_metrics false;
+      let label = Printf.sprintf "%s, context %d" label c.Samc.context_bits in
+      let bits_in, bits_out = walked_costs c z.Samc.model code in
+      let in', out' = Samc.stream_costs c z.Samc.model code in
+      Array.iteri
+        (fun s walked_in ->
+          let counter field =
+            Obs.Counter.value (Obs.Counter.make (Printf.sprintf "samc.stream%d.%s" s field))
+          in
+          Alcotest.(check int)
+            (Printf.sprintf "%s: stream %d bits_in" label s)
+            walked_in (counter "bits_in");
+          Alcotest.(check int)
+            (Printf.sprintf "%s: stream %d bits_out" label s)
+            (int_of_float (Float.round bits_out.(s)))
+            (counter "bits_out");
+          Alcotest.(check int)
+            (Printf.sprintf "%s: stream_costs %d bits_in" label s)
+            walked_in in'.(s);
+          Alcotest.(check (float 1e-6))
+            (Printf.sprintf "%s: stream_costs %d bits_out" label s)
+            1.0 (out'.(s) /. bits_out.(s)))
+        bits_in)
+    configs
+
+let test_stream_costs_reject_mismatched_model () =
+  let code = mips_code 15L in
+  let z = Samc.compress (Samc.mips_config ()) code in
+  Alcotest.check_raises "model of another shape"
+    (Invalid_argument "Samc.stream_costs: model does not match the configuration") (fun () ->
+      ignore (Samc.stream_costs (Samc.mips_config ~context_bits:1 ()) z.Samc.model code))
+
 let prop_roundtrip_random_words =
   QCheck.Test.make ~name:"samc round-trips arbitrary word streams" ~count:30
     QCheck.(pair small_int int)
@@ -169,5 +271,9 @@ let suite =
     Alcotest.test_case "misaligned input rejected" `Quick test_misaligned_input_rejected;
     Alcotest.test_case "serialization roundtrip" `Quick test_serialization_roundtrip;
     Alcotest.test_case "ratio accounting" `Quick test_ratio_accounting;
+    Alcotest.test_case "stream costs from counts match the per-bit walk" `Quick
+      test_stream_costs_match_walk;
+    Alcotest.test_case "stream costs reject a mismatched model" `Quick
+      test_stream_costs_reject_mismatched_model;
     QCheck_alcotest.to_alcotest prop_roundtrip_random_words;
   ]

@@ -106,8 +106,33 @@ let test_golden_tripwire () =
   let _, divs = Verify.check_golden ~dir entries in
   Alcotest.(check bool) "corrupted input trips the corpus check" true (divs <> [])
 
+(* SAMC's predicted cost must add up to the bytes it emits: holds for a
+   real compression of both ISAs, fails once the model no longer is the
+   one the payload was coded with. *)
+let test_samc_conservation () =
+  List.iter
+    (fun isa ->
+      let code = Verify.gen_code ~isa ~profile:"gcc" ~scale:0.05 ~seed:3 in
+      let cfg =
+        match isa with
+        | Verify.Mips -> Ccomp_core.Samc.mips_config ()
+        | Verify.X86 -> Ccomp_core.Samc.byte_config ()
+      in
+      let z = Ccomp_core.Samc.compress cfg code in
+      let name = Verify.isa_name isa in
+      Alcotest.(check (result unit string)) (name ^ ": own model conserves") (Ok ())
+        (Verify.samc_conservation z code);
+      (* a model trained on an all-zero program predicts this one badly:
+         its ideal code length is far above the payload actually coded *)
+      let other = Ccomp_core.Samc.compress cfg (String.make (String.length code) '\000') in
+      let mismatched = { z with Ccomp_core.Samc.model = other.Ccomp_core.Samc.model } in
+      Alcotest.(check bool) (name ^ ": mismatched model fails") true
+        (Result.is_error (Verify.samc_conservation mismatched code)))
+    [ Verify.Mips; Verify.X86 ]
+
 let suite =
   [
+    Alcotest.test_case "samc cost conservation" `Quick test_samc_conservation;
     Alcotest.test_case "all pairs clean on fresh inputs" `Quick test_clean_sweep;
     Alcotest.test_case "first difference located by block and bit" `Quick test_diff_location;
     Alcotest.test_case "shrinker is minimal and budget-bounded" `Quick test_minimize;
