@@ -57,6 +57,9 @@ trap 'exit 129' HUP
 fail() { echo "chaos_check: $*" >&2; exit 1; }
 
 # -- 1: boot with tight budgets and the crash op enabled ----------------
+# the background job opens its log asynchronously; the port poll below
+# must not race it (a missing file fails sed under set -e)
+: > "$dir/serve.log"
 # --max-requests-per-conn 3 forces recycles under the keep-alive
 # attacks; --idle-timeout 1 < the chaos --stall 2 forces idle closes
 "$ccomp" serve --port 0 --workers 2 --queue-cap 2 \

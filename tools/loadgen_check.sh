@@ -62,6 +62,9 @@ cmp -s "$dir/sched_a.txt" "$dir/sched_c.txt" \
 [ "$(wc -l < "$dir/sched_a.txt")" -eq 20 ] || fail "--print-schedule 20 did not print 20 offsets"
 
 # -- boot a daemon on an ephemeral port ---------------------------------
+# the background job opens its log asynchronously; the port poll below
+# must not race it (a missing file fails sed under set -e)
+: > "$dir/serve.log"
 "$ccomp" serve --port 0 > "$dir/serve.log" 2>&1 &
 serve_pid=$!
 port=

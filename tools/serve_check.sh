@@ -69,6 +69,9 @@ fail() { echo "serve_check: $*" >&2; exit 1; }
 "$ccomp" generate --profile go --scale 0.15 --seed 17 -o "$dir/code.bin" >/dev/null
 
 # -- 1: boot on an ephemeral port with a sharded accept path ------------
+# the background job opens its log asynchronously; the port poll below
+# must not race it (a missing file fails sed under set -e)
+: > "$dir/serve.log"
 "$ccomp" serve --port 0 --acceptors 2 > "$dir/serve.log" 2>&1 &
 serve_pid=$!
 
