@@ -891,7 +891,7 @@ let serve_cmd =
         Unix.execv Sys.executable_name Sys.argv
       with Unix.Unix_error _ -> ())
   in
-  let run host port jobs workers acceptors queue_cap max_requests idle_timeout io_timeout drain
+  let run host port jobs workers queue_cap max_requests idle_timeout io_timeout drain
       allow_crash slow_threshold slow_ring metrics trace events =
     retune_runtime ();
     let jobs = resolve_jobs jobs in
@@ -906,7 +906,6 @@ let serve_cmd =
         port;
         jobs;
         workers = max 1 workers;
-        acceptors = max 1 acceptors;
         queue_cap = max 1 queue_cap;
         max_requests_per_conn = max 0 max_requests;
         idle_timeout_s = idle_timeout;
@@ -930,22 +929,17 @@ let serve_cmd =
       value & opt int 2
       & info [ "workers" ] ~docv:"N"
           ~doc:
-            "Worker domains, each with its own bounded connection queue (each job still fans out \
+            "Worker domains, each with its own bounded request queue (each job still fans out \
              over --jobs).")
-  in
-  let acceptors_arg =
-    Arg.(
-      value & opt int 1
-      & info [ "acceptors" ] ~docv:"N"
-          ~doc:
-            "Acceptor domains, each on its own SO_REUSEPORT listener (falling back to one shared \
-             non-blocking listener where the option is unavailable).")
   in
   let queue_cap_arg =
     Arg.(
       value & opt int 64
       & info [ "queue-cap" ] ~docv:"N"
-          ~doc:"Per-worker queue bound; connections beyond it are shed with a typed overload reply.")
+          ~doc:
+            "Per-worker queue bound. A connection holds one of workers x ($(docv) + 1) admission \
+             units from accept (or from the first byte of a keep-alive frame) until its reply is \
+             written; one that finds none free is shed with a typed overload reply.")
   in
   let max_requests_arg =
     Arg.(
@@ -998,8 +992,8 @@ let serve_cmd =
   let term =
     Term.(
       ret
-        (const run $ host_arg $ port_arg ~default:7070 $ jobs_arg $ workers_arg $ acceptors_arg
-       $ queue_cap_arg $ max_requests_arg $ idle_timeout_arg $ io_timeout_arg $ drain_arg
+        (const run $ host_arg $ port_arg ~default:7070 $ jobs_arg $ workers_arg $ queue_cap_arg
+       $ max_requests_arg $ idle_timeout_arg $ io_timeout_arg $ drain_arg
        $ crash_op_arg $ slow_threshold_arg $ slow_ring_arg $ metrics_arg $ trace_out_arg
        $ events_arg))
   in
@@ -1010,8 +1004,9 @@ let serve_cmd =
           connection carries a sequence of frames) plus /metrics (OpenMetrics), /healthz, \
           /events, /snapshot and /slow over HTTP/1.0 on one port. Overload-safe: bounded queues \
           with typed shed replies, per-request deadlines, per-connection i/o budgets, graceful \
-          drain on SIGTERM, supervised workers, sharded acceptors. With metrics on, per-domain \
-          GC/runtime telemetry lands in runtime.* and the slowest requests are tail-sampled with \
+          drain on SIGTERM, supervised workers. One poll(2) loop owns accept, framing, deadlines \
+          and reply writes; worker domains only run jobs. With metrics on, GC/runtime \
+          telemetry lands in runtime.* and the slowest requests are tail-sampled with \
           per-stage GC deltas.")
     term
 

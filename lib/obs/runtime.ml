@@ -1,23 +1,28 @@
-(* Domain-safe OCaml runtime telemetry: per-domain GC deltas, an
+(* Domain-safe OCaml runtime telemetry: process-wide GC deltas, an
    end-of-major-cycle pause estimator, and allocation-rate gauges.
 
-   OCaml 5's [Gc.quick_stat] is cheap (no heap walk, no stop-the-world)
-   and its allocation/collection counters describe the *calling
-   domain*, so a delta between two reads on the same domain is exact
-   for that domain's mutator. Each domain keeps its previous reading in
-   domain-local storage; [sample] folds the delta into the process-wide
-   [Obs] registry, which is what /metrics renders.
+   On OCaml 5.1 [Gc.quick_stat] is cheap (no heap walk, no
+   stop-the-world) but it describes the whole process, not the calling
+   domain: it adds the other domains' counters as of their last minor
+   collection (and those of domains that have exited) to the caller's
+   own. A child domain allocating 30 M words moves the main domain's
+   [quick_stat] by 30 M words while the main domain's own
+   [Gc.minor_words] moves by about a hundred. So the previous reading
+   lives in one process-wide slot: whichever domain calls [sample] folds
+   the process's growth since the last call into the [Obs] registry,
+   and the counters add up to what the process did however many domains
+   sample.
 
    Pause observation: [Gc.create_alarm] runs its callback at the end of
-   every major GC cycle, on the domain that finishes it, while that
-   domain's mutator is stopped. OCaml gives no direct slice duration,
-   so we estimate the way userland hiccup meters do: the serve pipeline
-   calls [tick] at every request-stage boundary, stamping "the mutator
-   was demonstrably running now"; the alarm observes
-   now - last_tick as the stall bound. Under load, ticks are hundreds
-   of microseconds apart, so the estimate is tight; a stale tick
-   (> [stale_tick_us], i.e. an idle domain) is skipped rather than
-   booked as a giant fake pause.
+   every major GC cycle on each domain that created one, so the alarm
+   is installed once per process (a second one would count every cycle
+   twice). OCaml gives no direct slice duration, so we estimate the way
+   userland hiccup meters do: the serve pipeline calls [tick] at every
+   request-stage boundary, stamping "a mutator was demonstrably running
+   now"; the alarm observes now - last_tick as the stall bound. Under
+   load, ticks are hundreds of microseconds apart, so the estimate is
+   tight; a stale tick (> [stale_tick_us], i.e. an idle process) is
+   skipped rather than booked as a giant fake pause.
 
    Everything is behind the registry's one-atomic-load-when-off guard:
    with metrics disabled, [probe]/[sample]/[tick] and the alarm body
@@ -60,7 +65,7 @@ let major_pause_histogram_name = "runtime.gc.major_pause_us"
    would otherwise book the whole quiet period as a "pause". *)
 let stale_tick_us = 250_000.0
 
-(* --- per-domain state ---------------------------------------------------- *)
+(* --- deltas --------------------------------------------------------------- *)
 
 type delta = {
   d_minor_collections : int;
@@ -101,24 +106,20 @@ let words_to_mb w = w *. float_of_int (Sys.word_size / 8) /. 1e6
 
 let alloc_mb d = words_to_mb (d.d_minor_words +. d.d_major_words)
 
-type dstate = {
-  mutable ds_last : Gc.stat;
-  mutable ds_last_us : float;
-  mutable ds_tick_us : float;
-  mutable ds_alarm_installed : bool;
-  mutable ds_counted : bool;  (** this domain already bumped runtime.domains *)
-}
+(* The reading the next [sample] subtracts from, and when it was taken.
+   Taken at module load, so the counters add up to the process's growth
+   since then. *)
+let last_mutex = Mutex.create ()
 
-let dls : dstate Domain.DLS.key =
-  Domain.DLS.new_key (fun () ->
-      let now = Obs.now_us () in
-      {
-        ds_last = Gc.quick_stat ();
-        ds_last_us = now;
-        ds_tick_us = now;
-        ds_alarm_installed = false;
-        ds_counted = false;
-      })
+let last_stat = ref (Gc.quick_stat ())
+
+let last_us = ref (Obs.now_us ())
+
+(* The most recent [tick] by any domain. *)
+let tick_us = Atomic.make (Obs.now_us ())
+
+(* [runtime.domains] counts each domain the first time it samples. *)
+let counted : bool ref Domain.DLS.key = Domain.DLS.new_key (fun () -> ref false)
 
 let domains_sampling = Atomic.make 0
 
@@ -129,27 +130,28 @@ let probe () = if Obs.metrics_enabled () then Some (Gc.quick_stat ()) else None
 let stage_delta a b =
   match (a, b) with Some a, Some b -> delta_between a b | _ -> delta_zero
 
-let tick () =
-  if Obs.metrics_enabled () then begin
-    let st = Domain.DLS.get dls in
-    st.ds_tick_us <- Obs.now_us ()
-  end
+let tick () = if Obs.metrics_enabled () then Atomic.set tick_us (Obs.now_us ())
 
-(* Fold this domain's growth since its previous sample into the global
-   counters, refresh the gauges, return the delta. The counters are the
-   sum over all sampling domains; the heap gauges are last-writer-wins,
-   which is fine — every domain shares one major heap in OCaml 5. *)
+(* Fold the process's growth since the previous sample (by any domain)
+   into the counters, refresh the gauges, return the delta. The reading
+   and the swap happen under one lock, so concurrent samplers split the
+   growth between them instead of each booking all of it. *)
 let sample () =
   if not (Obs.metrics_enabled ()) then delta_zero
   else begin
-    let st = Domain.DLS.get dls in
-    if not st.ds_counted then begin
-      st.ds_counted <- true;
+    let seen = Domain.DLS.get counted in
+    if not !seen then begin
+      seen := true;
       Obs.Gauge.set g_domains (float_of_int (Atomic.fetch_and_add domains_sampling 1 + 1))
     end;
-    let now = Obs.now_us () in
+    Mutex.lock last_mutex;
     let cur = Gc.quick_stat () in
-    let d = delta_between st.ds_last cur in
+    let now = Obs.now_us () in
+    let d = delta_between !last_stat cur in
+    let dt_s = (now -. !last_us) /. 1e6 in
+    last_stat := cur;
+    last_us := now;
+    Mutex.unlock last_mutex;
     Obs.Counter.add c_minor_collections d.d_minor_collections;
     Obs.Counter.add c_major_collections d.d_major_collections;
     Obs.Counter.add c_compactions d.d_compactions;
@@ -159,28 +161,27 @@ let sample () =
     Obs.Gauge.set g_heap_words (float_of_int cur.Gc.heap_words);
     Obs.Gauge.set g_top_heap_words (float_of_int cur.Gc.top_heap_words);
     Obs.Gauge.set g_space_overhead (float_of_int (Gc.get ()).Gc.space_overhead);
-    let dt_s = (now -. st.ds_last_us) /. 1e6 in
     if dt_s > 1e-6 then Obs.Gauge.set g_alloc_rate (alloc_mb d /. dt_s);
-    st.ds_last <- cur;
-    st.ds_last_us <- now;
-    st.ds_tick_us <- now;
+    Atomic.set tick_us now;
     d
   end
 
-(* End-of-major-cycle hook for the calling domain. Idempotent per
-   domain; the alarm object lives as long as the domain, which is what
-   a daemon worker wants. *)
+(* One end-of-major-cycle hook per process. An alarm lives as long as
+   the domain that created it, so when that domain exits the slot frees
+   up and the next [install_alarm] call, from any domain, installs a
+   new one. *)
+let alarm_installed = Atomic.make false
+
 let install_alarm () =
-  let st = Domain.DLS.get dls in
-  if not st.ds_alarm_installed then begin
-    st.ds_alarm_installed <- true;
+  if Atomic.compare_and_set alarm_installed false true then begin
+    Domain.at_exit (fun () -> Atomic.set alarm_installed false);
     ignore
       (Gc.create_alarm (fun () ->
            if Obs.metrics_enabled () then begin
              Obs.Counter.incr c_major_cycles;
              let now = Obs.now_us () in
-             let stall = now -. st.ds_tick_us in
+             let stall = now -. Atomic.get tick_us in
              if stall >= 0.0 && stall <= stale_tick_us then H.observe h_major_pause stall;
-             st.ds_tick_us <- now
+             Atomic.set tick_us now
            end))
   end

@@ -1,33 +1,29 @@
-(* Compression daemon: TCP listeners, two protocols (binary jobs +
+(* Compression daemon: one TCP listener, two protocols (binary jobs +
    HTTP observability), codecs shared verbatim with the offline CLI so
    served output is byte-identical.
 
    Concurrency model (overload-safe by construction):
 
-     acceptor domains (one listener each via SO_REUSEPORT, or one
-     shared non-blocking listener when the kernel refuses the option)
-       accept -> admission: bounded per-shard queue, or shed with a
-       typed overload reply (CCR1 status 2 / HTTP 503). Accepts never
-       stall on a slow client: the acceptor only ever does a
-       non-blocking best-effort write when shedding.
+     the loop (the domain that calls [run])
+       one poll(2) set: accept, reassembly of each frame and HTTP head
+       from non-blocking reads, the idle and i/o deadlines (one timer
+       heap), non-blocking reply writes. Admission bounds the work in
+       the daemon: past [workers * (queue_cap + 1)] admitted
+       connections a newcomer is shed with a typed overload reply
+       (CCR1 status 2 / HTTP 503), written non-blockingly, so accepts
+       never stall behind slow consumers. Keep-alive connections
+       (CCQ1v4) wait between frames in the same poll set, holding no
+       worker and no admission unit.
      worker domains (one per shard)
-       pop -> per-connection budgets (idle timeout on the preamble, an
-       i/o deadline per frame) -> job dispatch with the request's
-       deadline enforced before, during and after decode. CCQ1
-       connections are persistent (CCQ1v4): a worker serves frames
-       back-to-back while the client keeps them coming, then hands the
-       quiet connection to the parker instead of pinning itself on the
-       inter-frame gap. A worker that crashes is logged, counted in
+       pop a reassembled request -> job dispatch with the request's
+       deadline enforced before, during and after decode -> the
+       encoded reply goes back to the loop through a completion queue
+       and a wake pipe. A worker that crashes is logged, counted in
        serve.worker_restarts_total and respawned in place; the daemon
        never dies with it.
-     parker (one domain)
-       selects over the parked keep-alive connections; a readable one
-       re-enters admission like a fresh accept (so queue bounds apply
-       per frame, not per connection), one idle past the inter-frame
-       budget is closed quietly.
 
    SIGTERM/SIGINT switch the daemon into drain: stop accepting, close
-   the parked (idle) connections, let workers finish the queued jobs
+   the idle connections, let workers finish the queued and running jobs
    within the drain budget, shed the rest with typed overload replies,
    then join and flush. The metrics registry and event ring are
    Domain-safe, so every handler publishes freely. *)
@@ -124,39 +120,11 @@ let m_recycles = Obs.Counter.make "serve.conn_recycles"
 
 let m_keepalive_idle = Obs.Counter.make "serve.keepalive_idle_closes"
 
-let m_parked = Obs.Gauge.make "serve.parked"
-
 let inflight = Atomic.make 0
 
 (* --- framing ------------------------------------------------------------ *)
 
-let be16 v = Printf.sprintf "%c%c" (Char.chr ((v lsr 8) land 0xff)) (Char.chr (v land 0xff))
-
-let be32 v =
-  Printf.sprintf "%c%c%c%c"
-    (Char.chr ((v lsr 24) land 0xff))
-    (Char.chr ((v lsr 16) land 0xff))
-    (Char.chr ((v lsr 8) land 0xff))
-    (Char.chr (v land 0xff))
-
-let be64 v =
-  String.init 8 (fun i ->
-      Char.chr (Int64.to_int (Int64.logand (Int64.shift_right_logical v ((7 - i) * 8)) 0xFFL)))
-
-let read_be16 s pos = (Char.code s.[pos] lsl 8) lor Char.code s.[pos + 1]
-
-let read_be32 s pos =
-  (Char.code s.[pos] lsl 24)
-  lor (Char.code s.[pos + 1] lsl 16)
-  lor (Char.code s.[pos + 2] lsl 8)
-  lor Char.code s.[pos + 3]
-
-let read_be64 s pos =
-  let acc = ref 0L in
-  for i = 0 to 7 do
-    acc := Int64.logor (Int64.shift_left !acc 8) (Int64.of_int (Char.code s.[pos + i]))
-  done;
-  !acc
+let read_be32 s pos = Int32.to_int (String.get_int32_be s pos) land 0xFFFF_FFFF
 
 let max_payload = 1 lsl 28 (* 256 MB: refuse absurd frames instead of allocating them *)
 
@@ -181,13 +149,23 @@ let isa_tag = function Mips -> 0 | X86 -> 1
 
 let isa_of_tag = function 0 -> Some Mips | 1 -> Some X86 | _ -> None
 
+(* Encoders build each frame in one buffer of its final length: the
+   header fields go in with the big-endian setters, the payload with one
+   blit. Integer fields keep their low 16/32/64 bits, as on the wire. *)
 let encode_request ?(deadline_ms = 0) ?(request_id = 0L) req =
   let frame ~op ~algo ~isa ~block payload =
-    req_magic
-    ^ Printf.sprintf "%c%c%c" (Char.chr op) (Char.chr algo) (Char.chr isa)
-    ^ be16 block ^ be32 deadline_ms ^ be64 request_id
-    ^ be32 (String.length payload)
-    ^ payload
+    let n = String.length payload in
+    let b = Bytes.create (req_header_len + n) in
+    Bytes.blit_string req_magic 0 b 0 4;
+    Bytes.set_uint8 b 4 op;
+    Bytes.set_uint8 b 5 algo;
+    Bytes.set_uint8 b 6 isa;
+    Bytes.set_uint16_be b 7 (block land 0xffff);
+    Bytes.set_int32_be b 9 (Int32.of_int deadline_ms);
+    Bytes.set_int64_be b 13 request_id;
+    Bytes.set_int32_be b 21 (Int32.of_int n);
+    Bytes.blit_string payload 0 b req_header_len n;
+    Bytes.unsafe_to_string b
   in
   match req with
   | Compress { algo; isa; block_size; code } ->
@@ -200,7 +178,7 @@ let decode_request s =
   if String.length s < req_header_len then Error (Truncated "request header")
   else if String.sub s 0 4 <> req_magic then Error (Malformed "bad request magic")
   else begin
-    let meta = { deadline_ms = read_be32 s 9; request_id = read_be64 s 13 } in
+    let meta = { deadline_ms = read_be32 s 9; request_id = String.get_int64_be s 13 } in
     let payload_len = read_be32 s 21 in
     if payload_len > max_payload then
       Error (Frame_too_large { limit = max_payload; got = payload_len })
@@ -214,7 +192,7 @@ let decode_request s =
       | 1 -> (
         match (algo_of_tag (Char.code s.[5]), isa_of_tag (Char.code s.[6])) with
         | Some algo, Some isa ->
-          let block_size = read_be16 s 7 in
+          let block_size = String.get_uint16_be s 7 in
           if block_size = 0 then Error (Malformed "block size must be positive")
           else Ok (Compress { algo; isa; block_size; code = payload }, meta)
         | None, _ -> Error (Malformed "unknown algorithm tag")
@@ -230,26 +208,32 @@ let decode_request s =
    "huge", not as a small number. *)
 let cap_u32 v = if v < 0 then 0 else if v > 0xFFFF_FFFF then 0xFFFF_FFFF else v
 
-let encode_timing t =
-  be64 t.t_request_id ^ be32 (cap_u32 t.t_queue_us) ^ be32 (cap_u32 t.t_service_us)
-  ^ be32 (cap_u32 t.t_server_us)
+let set_timing b pos t =
+  Bytes.set_int64_be b pos t.t_request_id;
+  Bytes.set_int32_be b (pos + 8) (Int32.of_int (cap_u32 t.t_queue_us));
+  Bytes.set_int32_be b (pos + 12) (Int32.of_int (cap_u32 t.t_service_us));
+  Bytes.set_int32_be b (pos + 16) (Int32.of_int (cap_u32 t.t_server_us))
 
 let decode_timing s pos =
   {
-    t_request_id = read_be64 s pos;
+    t_request_id = String.get_int64_be s pos;
     t_queue_us = read_be32 s (pos + 8);
     t_service_us = read_be32 s (pos + 12);
     t_server_us = read_be32 s (pos + 16);
   }
 
 let encode_response ?timing resp =
-  let trecord = match timing with None -> "" | Some t -> encode_timing t in
   let frame status payload =
-    resp_magic
-    ^ String.make 1 (Char.chr status)
-    ^ String.make 1 (Char.chr (String.length trecord))
-    ^ be32 (String.length payload)
-    ^ trecord ^ payload
+    let tlen = if timing = None then 0 else timing_record_len in
+    let n = String.length payload in
+    let b = Bytes.create (resp_header_len + tlen + n) in
+    Bytes.blit_string resp_magic 0 b 0 4;
+    Bytes.set_uint8 b 4 status;
+    Bytes.set_uint8 b 5 tlen;
+    Bytes.set_int32_be b 6 (Int32.of_int n);
+    (match timing with Some t -> set_timing b resp_header_len t | None -> ());
+    Bytes.blit_string payload 0 b (resp_header_len + tlen) n;
+    Bytes.unsafe_to_string b
   in
   match resp with
   | Payload data -> frame 0 data
@@ -288,10 +272,6 @@ let decode_response s =
    needs no clock agreement between client and server. *)
 
 let expired = function None -> false | Some d -> Obs.now_us () > d
-
-let deadline_after_s = function
-  | None -> None
-  | Some seconds -> Some (Obs.now_us () +. (seconds *. 1e6))
 
 let deadline_reply ~at =
   Obs.Counter.incr m_deadline_expired;
@@ -425,171 +405,185 @@ let http_response target =
     Some (200, "application/x-ndjson", Slow.tail_json n)
   | _ -> None
 
-(* --- socket plumbing ---------------------------------------------------- *)
+(* --- poll(2) ------------------------------------------------------------- *)
 
-(* Reads and writes carry an optional absolute deadline, enforced with
-   SO_RCVTIMEO/SO_SNDTIMEO re-armed to the remaining budget before each
-   syscall — so a slowloris peer trickling one byte per timeout window
-   still hits the frame deadline. EINTR (a signal mid-syscall) restarts
-   the transfer; EAGAIN/EWOULDBLOCK means the timeout fired. *)
+(* [poll_fds fds events revents n timeout_ms] waits on the first [n]
+   descriptors; event sets are [ev_in]/[ev_out] bits, and [revents]
+   also sets bit 4 on an error or hang-up. Returns the number of ready
+   descriptors, 0 on timeout or EINTR. *)
+external poll_fds : Unix.file_descr array -> int array -> int array -> int -> int -> int
+  = "ccomp_serve_poll"
 
-let arm ~send fd deadline_us =
-  match deadline_us with
-  | None -> true
-  | Some d ->
-    let remaining = (d -. Obs.now_us ()) /. 1e6 in
-    if remaining <= 0.0 then false
-    else begin
-      (try
-         Unix.setsockopt_float fd
-           (if send then Unix.SO_SNDTIMEO else Unix.SO_RCVTIMEO)
-           (max remaining 0.001)
-       with Unix.Unix_error _ | Invalid_argument _ -> ());
-      true
-    end
+let ev_in = 1
 
-let read_exact ?deadline_us ~what fd n =
-  let buf = Bytes.create n in
-  let rec go pos =
-    if pos >= n then Ok (Bytes.unsafe_to_string buf)
-    else if not (arm ~send:false fd deadline_us) then Error (Timed_out what)
-    else
-      match Unix.read fd buf pos (n - pos) with
-      | 0 -> Error (Truncated (Printf.sprintf "%s (peer closed after %d of %d bytes)" what pos n))
-      | k -> go (pos + k)
-      | exception Unix.Unix_error (Unix.EINTR, _, _) -> go pos
-      | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) ->
-        Error (Timed_out what)
-      | exception Unix.Unix_error (Unix.ECONNRESET, _, _) ->
-        Error (Truncated (Printf.sprintf "%s (connection reset)" what))
+let ev_out = 2
+
+(* poll's timeout for an absolute [Obs.now_us] deadline: -1 waits
+   forever; rounding up keeps a wake from landing before the deadline. *)
+let poll_ms deadline_us =
+  if deadline_us = infinity then -1
+  else
+    let ms = Float.ceil ((deadline_us -. Obs.now_us ()) /. 1e3) in
+    if ms <= 0.0 then 0 else int_of_float (Float.min ms 1e9)
+
+(* --- daemon configuration ----------------------------------------------- *)
+
+type config = {
+  host : string;
+  port : int;
+  jobs : int;
+  workers : int;
+  queue_cap : int;
+  max_requests_per_conn : int;
+  idle_timeout_s : float;
+  io_timeout_s : float;
+  drain_s : float;
+  allow_crash_op : bool;
+  slow_threshold_ms : float;
+  slow_capacity : int;
+}
+
+let default_config =
+  {
+    host = "127.0.0.1";
+    port = 7070;
+    jobs = 1;
+    workers = 2;
+    queue_cap = 64;
+    max_requests_per_conn = 0;
+    idle_timeout_s = 10.0;
+    io_timeout_s = 30.0;
+    drain_s = 5.0;
+    allow_crash_op = false;
+    slow_threshold_ms = 100.0;
+    slow_capacity = 64;
+  }
+
+(* --- jobs: what a worker runs ------------------------------------------- *)
+
+(* A request reassembled from non-blocking reads — a CCQ1 frame (or the
+   protocol error that ended it) or an HTTP head — with its stage clock
+   so far: [t0] first byte of the frame, [t_read] frame complete. The
+   worker adds pop and job-done; the reply's write adds the end. Each
+   boundary also probes the GC counters and stamps mutator liveness for
+   the major-pause estimator. *)
+type input = Frame of (request * frame_meta, protocol_error) result | Http of string
+
+type job = {
+  input : input;
+  t0 : float;
+  t_read : float;
+  gc0 : Gc.stat option;
+  gc_read : Gc.stat option;
+  queued_us : float;  (** admission wait before the frame's first byte *)
+  mutable depth : int;  (** shard queue length ahead of it when pushed *)
+}
+
+type reply = {
+  bytes : string;  (** encoded reply; [""] closes with no reply *)
+  keep : bool;  (** a CCQ1 frame in sync: serve the next one *)
+  written : unit -> unit;  (** books the stages once the write ends *)
+}
+
+let no_reply = { bytes = ""; keep = false; written = ignore }
+
+let max_http_head = 8192
+
+(* Where the HTTP head in the first [n] characters (read through [get])
+   ends: just past its blank line. *)
+let head_end get n =
+  let rec find i =
+    if i + 4 > n then None
+    else if get i = '\r' && get (i + 1) = '\n' && get (i + 2) = '\r' && get (i + 3) = '\n' then
+      Some (i + 4)
+    else find (i + 1)
   in
-  go 0
+  find 0
 
-let write_all ?deadline_us ?(what = "write") fd s =
-  let n = String.length s in
-  let rec go pos =
-    if pos >= n then Ok ()
-    else if not (arm ~send:true fd deadline_us) then Error (Timed_out what)
-    else
-      match Unix.write_substring fd s pos (n - pos) with
-      | k -> go (pos + k)
-      | exception Unix.Unix_error (Unix.EINTR, _, _) -> go pos
-      | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) ->
-        Error (Timed_out what)
-      | exception Unix.Unix_error ((Unix.EPIPE | Unix.ECONNRESET), _, _) ->
-        Error (Truncated (Printf.sprintf "%s (peer closed)" what))
+let http_reply head =
+  Obs.Counter.incr m_http;
+  Obs.Counter.add m_bytes_in (String.length head);
+  let request_line =
+    match String.index_opt head '\r' with Some i -> String.sub head 0 i | None -> head
   in
-  go 0
+  let status, ctype, body =
+    if String.length head >= max_http_head && head_end (String.get head) (String.length head) = None
+    then
+      (* the peer never finished its head within the limit; answer with
+         413 instead of misparsing a truncated request line as a target *)
+      (413, "text/plain; charset=utf-8", "request head too large\n")
+    else
+      match String.split_on_char ' ' request_line with
+      | meth :: target :: _ when meth = "GET" || meth = "HEAD" -> (
+        match http_response target with
+        | Some r -> r
+        | None -> (404, "text/plain; charset=utf-8", "not found\n"))
+      | _ -> (400, "text/plain; charset=utf-8", "bad request\n")
+  in
+  let reason =
+    match status with
+    | 200 -> "OK"
+    | 400 -> "Bad Request"
+    | 413 -> "Content Too Large"
+    | 503 -> "Service Unavailable"
+    | _ -> "Not Found"
+  in
+  Events.debug ~fields:[ ("request", request_line); ("status", string_of_int status) ] "serve.http";
+  let bytes =
+    Printf.sprintf
+      "HTTP/1.0 %d %s\r\nContent-Type: %s\r\nContent-Length: %d\r\nConnection: close\r\n\r\n%s"
+      status reason ctype (String.length body) body
+  in
+  { bytes; keep = false; written = ignore }
 
-let send ?deadline_us fd s =
-  let r = write_all ?deadline_us ~what:"response write" fd s in
-  (match r with
-  | Ok () -> Obs.Counter.add m_bytes_out (String.length s)
-  | Error (Timed_out _) ->
-    Obs.Counter.incr m_io_timeouts;
-    Events.warn ~fields:[ ("what", "response write") ] "serve.io_timeout"
-  | Error _ -> ());
-  r
-
-(* One CCQ1 frame: read it, run it, reply. Returns [true] when the
-   stream is still in sync (frame parsed and the reply went out), so
-   the keep-alive loop may read the next frame; any protocol or write
-   failure returns [false] and the connection is closed — after a
-   malformed or truncated frame the byte stream cannot be trusted. *)
-let handle_binary ?io_timeout_s ?(allow_crash_op = false) ?(queue_us = 0.0) ?(admit_depth = 0)
-    ~jobs fd first4 =
-  let ( let* ) = Result.bind in
-  (* Stage clock: [t0] accept-of-this-frame, [t_read] frame fully read
-     and decoded, [t_work] job finished, [t_end] reply written. The
-     queue stage (accept -> worker pop) happened before this call and
-     arrives as [queue_us]. Each boundary also probes this domain's GC
-     counters ([Runtime.probe] is a [Gc.quick_stat], cheap and exact
-     for the calling domain) and stamps mutator liveness for the
-     major-pause estimator. *)
-  Runtime.tick ();
-  let t0 = Obs.now_us () in
-  let gc0 = Runtime.probe () in
-  (* one i/o window for the whole request frame: a peer may be slow,
-     but the header plus payload must arrive within the budget *)
-  let read_deadline = deadline_after_s io_timeout_s in
-  let result =
-    Obs.with_span ~cat:"serve" "serve.read" (fun () ->
-        let* rest =
-          read_exact ?deadline_us:read_deadline ~what:"request header" fd (req_header_len - 4)
+(* Run one job: the worker's whole share of a request. The reply is
+   encoded here, timing record included, so [server_us] (queue + read
+   + work) excludes the write stage — the record rides inside the very
+   reply being written, and the client computes network time as its
+   corrected latency minus [server_us], slightly pessimistic by the
+   write cost. The request's [deadline_ms] counts from [t_read]. Raises
+   {!Worker_crashed} on an allowed crash op. *)
+let run_job cfg j =
+  match j.input with
+  | Http head -> http_reply head
+  | Frame result ->
+    let t_pop = Obs.now_us () in
+    Runtime.tick ();
+    let queue_us = j.queued_us +. (t_pop -. j.t_read) in
+    let id = match result with Ok (_, m) -> m.request_id | Error _ -> 0L in
+    let resp =
+      match result with
+      | Ok (Crash_worker, _) when not cfg.allow_crash_op ->
+        Events.warn "serve.crash_op_refused";
+        Failed "crash op not enabled (start the daemon with --unsafe-crash-op)"
+      | Ok (req, { deadline_ms; _ }) ->
+        let deadline_us =
+          if deadline_ms > 0 then Some (j.t_read +. (float_of_int deadline_ms *. 1e3)) else None
         in
-        let header = first4 ^ rest in
-        let payload_len = read_be32 header 21 in
-        if payload_len > max_payload then
-          Error (Frame_too_large { limit = max_payload; got = payload_len })
-        else
-          let* payload =
-            read_exact ?deadline_us:read_deadline ~what:"request payload" fd payload_len
-          in
-          Obs.Counter.add m_bytes_in (req_header_len + payload_len);
-          decode_request (header ^ payload))
-  in
-  let t_read = Obs.now_us () in
-  let gc_read = Runtime.probe () in
-  Runtime.tick ();
-  let meta =
-    match result with Ok (_, m) -> m | Error _ -> { deadline_ms = 0; request_id = 0L }
-  in
-  let resp =
-    match result with
-    | Ok (Crash_worker, _) when not allow_crash_op ->
-      Events.warn "serve.crash_op_refused";
-      Failed "crash op not enabled (start the daemon with --unsafe-crash-op)"
-    | Ok (req, { deadline_ms; _ }) ->
-      let deadline_us =
-        if deadline_ms > 0 then Some (Obs.now_us () +. (float_of_int deadline_ms *. 1e3))
-        else None
-      in
-      handle_request ?deadline_us ~jobs req
-    | Error pe ->
-      (match pe with
-      | Timed_out _ ->
-        Obs.Counter.incr m_io_timeouts;
-        Events.warn ~fields:[ ("error", protocol_error_to_string pe) ] "serve.io_timeout"
-      | _ -> Events.warn ~fields:[ ("error", protocol_error_to_string pe) ] "serve.protocol_error");
-      Failed (protocol_error_to_string pe)
-  in
-  let t_work = Obs.now_us () in
-  let gc_work = Runtime.probe () in
-  Runtime.tick ();
-  (* Echo the server-side split to a client that asked (nonzero id).
-     server_us excludes the write stage — the timing record rides inside
-     the very reply being written — so the client computes network time
-     as (its corrected latency) - t_server_us, slightly pessimistic by
-     the write cost, which is the conservative direction. *)
-  let timing =
-    if meta.request_id = 0L then None
-    else
-      Some
-        {
-          t_request_id = meta.request_id;
-          t_queue_us = int_of_float queue_us;
-          t_service_us = int_of_float (t_work -. t_read);
-          t_server_us = int_of_float (queue_us +. (t_work -. t0));
-        }
-  in
-  (* the response gets a fresh window — a large result legitimately
-     takes longer to write than the request took to read *)
-  let sent =
-    Obs.with_span ~cat:"serve" "serve.write" (fun () ->
-        send ?deadline_us:(deadline_after_s io_timeout_s) fd (encode_response ?timing resp))
-  in
-  let t_end = Obs.now_us () in
-  let gc_end = Runtime.probe () in
-  Latency.observe Latency.Queue queue_us;
-  Latency.observe Latency.Read (t_read -. t0);
-  Latency.observe Latency.Work (t_work -. t_read);
-  Latency.observe Latency.Write (t_end -. t_work);
-  Latency.observe_total (queue_us +. (t_end -. t0));
-  if Obs.metrics_enabled () then begin
-    (* Tail sampling: the full per-stage record, including what the GC
-       did to this domain during each stage, for requests worth
-       explaining. [sample] then folds this domain's cumulative growth
-       into the runtime.* counters and re-arms the pause estimator. *)
+        handle_request ?deadline_us ~jobs:cfg.jobs req
+      | Error pe ->
+        (match pe with
+        | Timed_out _ ->
+          Obs.Counter.incr m_io_timeouts;
+          Events.warn ~fields:[ ("error", protocol_error_to_string pe) ] "serve.io_timeout"
+        | _ -> Events.warn ~fields:[ ("error", protocol_error_to_string pe) ] "serve.protocol_error");
+        Failed (protocol_error_to_string pe)
+    in
+    let t_work = Obs.now_us () in
+    let gc_work = Runtime.probe () in
+    Runtime.tick ();
+    let read_us = j.t_read -. j.t0 and work_us = t_work -. t_pop in
+    let timing =
+      if id = 0L then None
+      else
+        Some
+          {
+            t_request_id = id;
+            t_queue_us = int_of_float queue_us;
+            t_service_us = int_of_float work_us;
+            t_server_us = int_of_float (queue_us +. read_us +. work_us);
+          }
+    in
     let kind =
       match result with
       | Ok (Compress _, _) -> "compress"
@@ -605,237 +599,313 @@ let handle_binary ?io_timeout_s ?(allow_crash_op = false) ?(queue_us = 0.0) ?(ad
       | Overloaded _ -> "overloaded"
       | Deadline_expired _ -> "deadline_expired"
     in
-    ignore
-      (Slow.maybe_sample
-         {
-           Slow.sr_ts_us = t_end;
-           sr_id = meta.request_id;
-           sr_kind = kind;
-           sr_outcome = outcome;
-           sr_total_us = queue_us +. (t_end -. t0);
-           sr_queue_us = queue_us;
-           sr_read_us = t_read -. t0;
-           sr_work_us = t_work -. t_read;
-           sr_write_us = t_end -. t_work;
-           sr_queue_depth = admit_depth;
-           sr_gc_read = Runtime.stage_delta gc0 gc_read;
-           sr_gc_work = Runtime.stage_delta gc_read gc_work;
-           sr_gc_write = Runtime.stage_delta gc_work gc_end;
-         });
-    ignore (Runtime.sample ())
+    (* after the write (or its failure): the stage histograms, the tail
+       sample with what the GC did during each stage, the runtime
+       counters *)
+    let written () =
+      let t_end = Obs.now_us () in
+      let gc_end = Runtime.probe () in
+      let write_us = t_end -. t_work in
+      let total_us = queue_us +. read_us +. work_us +. write_us in
+      Obs.Counter.incr m_frames;
+      Latency.observe Latency.Queue queue_us;
+      Latency.observe Latency.Read read_us;
+      Latency.observe Latency.Work work_us;
+      Latency.observe Latency.Write write_us;
+      Latency.observe_total total_us;
+      if Obs.metrics_enabled () then begin
+        ignore
+          (Slow.maybe_sample
+             {
+               Slow.sr_ts_us = t_end;
+               sr_id = id;
+               sr_kind = kind;
+               sr_outcome = outcome;
+               sr_total_us = total_us;
+               sr_queue_us = queue_us;
+               sr_read_us = read_us;
+               sr_work_us = work_us;
+               sr_write_us = write_us;
+               sr_queue_depth = j.depth;
+               sr_gc_read = Runtime.stage_delta j.gc0 j.gc_read;
+               sr_gc_work = Runtime.stage_delta j.gc_read gc_work;
+               sr_gc_write = Runtime.stage_delta gc_work gc_end;
+             });
+        ignore (Runtime.sample ())
+      end;
+      if id <> 0L then
+        Events.debug
+          ~fields:
+            [
+              ("id", Int64.to_string id);
+              ("queue_us", Printf.sprintf "%.0f" queue_us);
+              ("read_us", Printf.sprintf "%.0f" read_us);
+              ("work_us", Printf.sprintf "%.0f" work_us);
+              ("write_us", Printf.sprintf "%.0f" write_us);
+            ]
+          "serve.request"
+    in
+    { bytes = encode_response ?timing resp; keep = Result.is_ok result; written }
+
+(* --- connections: one state machine ------------------------------------- *)
+
+(* A connection between frames is [Idle] (idle budget running); once a
+   byte of the next frame arrives it is [Reading] (one i/o budget for
+   the whole frame); a complete frame makes it [Running] (the job is
+   out, no budget of ours: the request carries its own deadline), and
+   its reply makes it [Writing] (a fresh i/o budget — a large result
+   legitimately takes longer to write than the request took to read).
+   One frame per connection is in flight at a time, so replies leave in
+   request order; pipelined frames wait in [buf]. The daemon's loop and
+   [handle_connection] drive the same functions below. *)
+type phase = Idle | Reading | Running | Writing of reply | Closed
+
+type conn = {
+  fd : Unix.file_descr;
+  mutable buf : Bytes.t;
+  mutable len : int;  (** buffered input bytes *)
+  mutable frames : int;  (** CCQ1 frames answered so far *)
+  mutable phase : phase;
+  mutable out_pos : int;
+  mutable deadline : float;  (** absolute [Obs.now_us]; [infinity] = none *)
+  mutable t0 : float;
+  mutable gc0 : Gc.stat option;
+  mutable timer_at : float;  (** daemon: this conn's entry in the timer heap *)
+  mutable held : bool;  (** daemon: holds an admission unit *)
+}
+
+(* What happens next to a connection: wait on its peer, hand out a job, or close. *)
+type step = Wait | Dispatch of job | Finished
+
+let after s = Obs.now_us () +. (s *. 1e6)
+
+let make_conn cfg fd =
+  {
+    fd;
+    buf = Bytes.empty;
+    len = 0;
+    frames = 0;
+    phase = Idle;
+    out_pos = 0;
+    deadline = after cfg.idle_timeout_s;
+    t0 = 0.0;
+    gc0 = None;
+    timer_at = infinity;
+    held = false;
+  }
+
+let is_ccq1 c = c.len >= 4 && Bytes.sub_string c.buf 0 4 = req_magic
+
+let frame_len c = Int32.to_int (Bytes.get_int32_be c.buf 21) land 0xFFFF_FFFF
+
+(* Which part of a CCQ1 frame is still arriving. *)
+let frame_part c = if c.len < req_header_len then "request header" else "request payload"
+
+(* Read what is available, into a buffer grown to the frame being
+   assembled. *)
+let read_some c =
+  let want = if c.len >= req_header_len && is_ccq1 c then req_header_len + frame_len c else c.len + 4096 in
+  if Bytes.length c.buf < want then begin
+    let b = Bytes.create (max want (2 * Bytes.length c.buf)) in
+    Bytes.blit c.buf 0 b 0 c.len;
+    c.buf <- b
   end;
-  if meta.request_id <> 0L then
-    Events.debug
-      ~fields:
-        [
-          ("id", Int64.to_string meta.request_id);
-          ("queue_us", Printf.sprintf "%.0f" queue_us);
-          ("read_us", Printf.sprintf "%.0f" (t_read -. t0));
-          ("work_us", Printf.sprintf "%.0f" (t_work -. t_read));
-          ("write_us", Printf.sprintf "%.0f" (t_end -. t_work));
-        ]
-      "serve.request";
-  (match result with Ok _ -> true | Error _ -> false) && sent = Ok ()
+  match Unix.read c.fd c.buf c.len (Bytes.length c.buf - c.len) with
+  | 0 -> `Eof
+  | k ->
+    c.len <- c.len + k;
+    `Data
+  | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.EINTR), _, _) -> `Again
+  | exception Unix.Unix_error _ -> `Eof
 
-let max_http_head = 8192
+(* Take the first [n] buffered bytes. *)
+let consume c n =
+  let s = Bytes.sub_string c.buf 0 n in
+  c.len <- c.len - n;
+  if c.len = 0 then c.buf <- Bytes.empty else Bytes.blit c.buf n c.buf 0 c.len;
+  s
 
-let has_head_terminator s =
-  let n = String.length s in
-  let rec find i = i + 4 <= n && (String.sub s i 4 = "\r\n\r\n" || find (i + 1)) in
-  find 0
-
-let handle_http ?io_timeout_s fd first4 =
-  (* Read the request head (we never need a body on GET). *)
-  let read_deadline = deadline_after_s io_timeout_s in
-  let b = Buffer.create 256 in
-  Buffer.add_string b first4;
-  let chunk = Bytes.create 512 in
-  let rec fill () =
-    if Buffer.length b >= max_http_head || has_head_terminator (Buffer.contents b) then Ok ()
-    else if not (arm ~send:false fd read_deadline) then Error ()
-    else
-      match Unix.read fd chunk 0 (Bytes.length chunk) with
-      | 0 -> Ok ()
-      | n ->
-        Buffer.add_subbytes b chunk 0 n;
-        fill ()
-      | exception Unix.Unix_error (Unix.EINTR, _, _) -> fill ()
-      | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) -> Error ()
-      | exception Unix.Unix_error (Unix.ECONNRESET, _, _) -> Ok ()
+let dispatch c input =
+  let j =
+    {
+      input;
+      t0 = c.t0;
+      t_read = Obs.now_us ();
+      gc0 = c.gc0;
+      gc_read = Runtime.probe ();
+      queued_us = 0.0;
+      depth = 0;
+    }
   in
-  match fill () with
-  | Error () ->
+  Runtime.tick ();
+  c.phase <- Running;
+  c.deadline <- infinity;
+  Dispatch j
+
+let idle_close c =
+  if c.frames = 0 then begin
+    (* idle budget: the peer connected but never finished a preamble *)
+    Obs.Counter.incr m_io_timeouts;
+    Events.warn ~fields:[ ("what", "connection preamble") ] "serve.idle_timeout"
+  end
+  else begin
+    (* inter-frame gap: a quiet goodbye, not an error *)
+    Obs.Counter.incr m_keepalive_idle;
+    Events.debug ~fields:[ ("frames", string_of_int c.frames) ] "serve.keepalive.idle_close"
+  end;
+  Finished
+
+(* Advance an [Idle]/[Reading] connection as far as its bytes allow. A
+   clean EOF at a frame boundary is the peer saying goodbye (old
+   one-shot clients shut down their send side after one frame, so they
+   close exactly here, no version sniff needed); EOF inside a CCQ1 frame
+   is answered as truncation; HTTP stays one-shot. *)
+let rec advance cfg c =
+  if c.phase = Idle && c.len > 0 then begin
+    c.phase <- Reading;
+    c.t0 <- Obs.now_us ();
+    c.gc0 <- Runtime.probe ();
+    c.deadline <- after cfg.io_timeout_s;
+    Runtime.tick ()
+  end;
+  if c.len < 4 then more cfg c
+  else if is_ccq1 c then
+    if c.len < req_header_len then more cfg c
+    else if frame_len c > max_payload then
+      dispatch c (Frame (Error (Frame_too_large { limit = max_payload; got = frame_len c })))
+    else if req_header_len + frame_len c <= c.len then begin
+      let n = req_header_len + frame_len c in
+      Obs.Counter.add m_bytes_in n;
+      dispatch c (Frame (decode_request (consume c n)))
+    end
+    else more cfg c
+  else if c.frames > 0 then begin
+    Events.warn ~fields:[ ("frames", string_of_int c.frames) ] "serve.protocol_error";
+    Finished
+  end
+  else if c.len >= max_http_head || head_end (Bytes.get c.buf) c.len <> None then
+    dispatch c (Http (consume c c.len))
+  else more cfg c
+
+(* The buffered bytes are not a whole frame: read more, or settle what
+   the peer's EOF left behind. *)
+and more cfg c =
+  match read_some c with
+  | `Data -> advance cfg c
+  | `Again -> Wait
+  | `Eof when c.len = 0 -> Finished
+  | `Eof when c.len < 4 ->
+    if c.frames > 0 then
+      Events.debug ~fields:[ ("frames", string_of_int c.frames) ] "serve.keepalive.partial_preamble";
+    Finished
+  | `Eof when is_ccq1 c ->
+    let got, want =
+      if c.len < req_header_len then (c.len - 4, req_header_len - 4)
+      else (c.len - req_header_len, frame_len c)
+    in
+    dispatch c
+      (Frame
+         (Error
+            (Truncated (Printf.sprintf "%s (peer closed after %d of %d bytes)" (frame_part c) got want))))
+  | `Eof -> dispatch c (Http (consume c c.len))
+
+(* Push the pending reply out; once it is written, either close (error,
+   HTTP, recycle bound) or go back to [Idle] and serve whatever the peer
+   already pipelined. *)
+let rec flush_out cfg c r =
+  let n = String.length r.bytes in
+  match Unix.write_substring c.fd r.bytes c.out_pos (n - c.out_pos) with
+  | k when c.out_pos + k < n ->
+    c.out_pos <- c.out_pos + k;
+    flush_out cfg c r
+  | _ ->
+    Obs.Counter.add m_bytes_out n;
+    r.written ();
+    if not r.keep then Finished
+    else begin
+      c.frames <- c.frames + 1;
+      if cfg.max_requests_per_conn > 0 && c.frames >= cfg.max_requests_per_conn then begin
+        Obs.Counter.incr m_recycles;
+        Events.debug ~fields:[ ("frames", string_of_int c.frames) ] "serve.conn_recycle";
+        Finished
+      end
+      else begin
+        c.phase <- Idle;
+        c.deadline <- after cfg.idle_timeout_s;
+        advance cfg c
+      end
+    end
+  | exception Unix.Unix_error (Unix.EINTR, _, _) -> flush_out cfg c r
+  | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) -> Wait
+  | exception Unix.Unix_error _ ->
+    r.written ();
+    Finished
+
+(* A job's reply arrived for this connection: start writing it. *)
+let deliver cfg c r =
+  if r.bytes = "" then Finished
+  else begin
+    c.phase <- Writing r;
+    c.out_pos <- 0;
+    c.deadline <- after cfg.io_timeout_s;
+    flush_out cfg c r
+  end
+
+(* The descriptor is ready (or worth a try). *)
+let ready cfg c =
+  match c.phase with
+  | Idle | Reading -> advance cfg c
+  | Writing r -> flush_out cfg c r
+  | Running | Closed -> Wait
+
+(* The connection's deadline passed. *)
+let expire c =
+  match c.phase with
+  | Idle -> idle_close c
+  | Reading when c.len < 4 -> idle_close c
+  | Reading when is_ccq1 c -> dispatch c (Frame (Error (Timed_out (frame_part c))))
+  | Reading ->
     (* a slowloris HTTP head: give up without guessing at a target *)
     Obs.Counter.incr m_io_timeouts;
-    Events.warn ~fields:[ ("what", "http head") ] "serve.io_timeout"
-  | Ok () ->
-    Obs.Counter.incr m_http;
-    Obs.Counter.add m_bytes_in (Buffer.length b);
-    let head = Buffer.contents b in
-    let request_line =
-      match String.index_opt head '\r' with Some i -> String.sub head 0 i | None -> head
-    in
-    let status, ctype, body =
-      if Buffer.length b >= max_http_head && not (has_head_terminator head) then
-        (* the peer never finished its head within the limit; answer with
-           413 instead of misparsing a truncated request line as a target *)
-        (413, "text/plain; charset=utf-8", "request head too large\n")
-      else
-        match String.split_on_char ' ' request_line with
-        | meth :: target :: _ when meth = "GET" || meth = "HEAD" -> (
-          match http_response target with
-          | Some r -> r
-          | None -> (404, "text/plain; charset=utf-8", "not found\n"))
-        | _ -> (400, "text/plain; charset=utf-8", "bad request\n")
-    in
-    let reason =
-      match status with
-      | 200 -> "OK"
-      | 400 -> "Bad Request"
-      | 413 -> "Content Too Large"
-      | 503 -> "Service Unavailable"
-      | _ -> "Not Found"
-    in
-    Events.debug
-      ~fields:[ ("request", request_line); ("status", string_of_int status) ]
-      "serve.http";
-    ignore
-      (send ?deadline_us:(deadline_after_s io_timeout_s) fd
-         (Printf.sprintf
-            "HTTP/1.0 %d %s\r\nContent-Type: %s\r\nContent-Length: %d\r\nConnection: close\r\n\r\n%s"
-            status reason ctype (String.length body) body))
+    Events.warn ~fields:[ ("what", "http head") ] "serve.io_timeout";
+    Finished
+  | Writing r ->
+    Obs.Counter.incr m_io_timeouts;
+    Events.warn ~fields:[ ("what", "response write") ] "serve.io_timeout";
+    r.written ();
+    Finished
+  | Running | Closed -> Wait
 
-(* --- keep-alive frame loop (CCQ1v4) ------------------------------------- *)
-
-(* The preamble read is where keep-alive semantics live: a clean EOF at
-   a frame boundary is the peer saying goodbye (not an error), a
-   timeout is the inter-frame idle budget expiring, and bytes mean
-   another frame. Old one-shot clients shut down their send side after
-   one frame, so the next preamble read sees EOF and the connection
-   closes exactly as it did pre-v4 — no version sniffing needed. *)
-type preamble =
-  | P_frame of string  (** 4 bytes arrived *)
-  | P_eof  (** clean close before any byte of the next frame *)
-  | P_partial  (** peer closed mid-preamble *)
-  | P_timeout  (** idle budget expired *)
-
-let read_preamble ?deadline_us fd =
-  let buf = Bytes.create 4 in
-  let rec go pos =
-    if pos >= 4 then P_frame (Bytes.to_string buf)
-    else if not (arm ~send:false fd deadline_us) then P_timeout
-    else
-      match Unix.read fd buf pos (4 - pos) with
-      | 0 -> if pos = 0 then P_eof else P_partial
-      | k -> go (pos + k)
-      | exception Unix.Unix_error (Unix.EINTR, _, _) -> go pos
-      | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) -> P_timeout
-      | exception Unix.Unix_error (Unix.ECONNRESET, _, _) -> if pos = 0 then P_eof else P_partial
-  in
-  go 0
-
-(* fds at or past FD_SETSIZE cannot go through select *)
-let fd_int (fd : Unix.file_descr) : int = Obj.magic fd
-
-let fd_setsize = 1024
-
-let data_ready ?(timeout_s = 0.0) fd =
-  if fd_int fd >= fd_setsize then true (* can't select: let the read decide *)
-  else
-    match Unix.select [ fd ] [] [] timeout_s with
-    | [], _, _ -> false
-    | _ -> true
-    | exception Unix.Unix_error (Unix.EINTR, _, _) -> false
-    | exception Unix.Unix_error _ -> true
-
-(* How long a worker with an empty queue waits on a served connection
-   for its next frame before handing it to the parker. A synchronous
-   request-response client sends its next frame one scheduling quantum
-   after reading the reply — far too late for the zero-timeout
-   [data_ready] probe, but comfortably inside this window — so lingering
-   turns the common back-to-back case into zero park/re-admit hops.
-   Bounded small enough that a genuinely idle connection costs at most
-   one such wait before parking, and gated on the queue being empty so
-   a worker never lingers while admitted work is waiting. *)
-let keepalive_linger_s = 0.005
-
-(* How serving a connection ended, from the worker's point of view. *)
-type served = Closed | Parked of int  (** frames completed so far *)
-
-(* Serve frames until the peer closes, a budget fires, the recycle
-   bound hits, or — with [park] — the next frame is not already waiting
-   (the caller hands the fd to the parker instead of blocking a worker
-   domain on the inter-frame gap). [frames_done] carries the count
-   across park/re-admit cycles so [max_requests] bounds the connection,
-   not the worker visit. [queue_us]/[admit_depth] describe this
-   admission and are charged to the first frame served here; frames
-   served back-to-back afterwards never waited in a queue. *)
-let serve_frames ?idle_timeout_s ?io_timeout_s ?allow_crash_op ?(queue_us = 0.0)
-    ?(admit_depth = 0) ?(max_requests = 0) ?(park = false) ?(may_linger = fun () -> false)
-    ?(frames_done = 0) ~jobs fd =
-  let rec frame n ~queue_us ~admit_depth =
-    match read_preamble ?deadline_us:(deadline_after_s idle_timeout_s) fd with
-    | P_timeout ->
-      if n = 0 then begin
-        (* idle budget: the peer connected but never spoke *)
-        Obs.Counter.incr m_io_timeouts;
-        Events.warn ~fields:[ ("what", "connection preamble") ] "serve.idle_timeout"
-      end
-      else begin
-        (* inter-frame gap: a quiet goodbye, not an error *)
-        Obs.Counter.incr m_keepalive_idle;
-        Events.debug ~fields:[ ("frames", string_of_int n) ] "serve.keepalive.idle_close"
-      end;
-      Closed
-    | P_eof -> Closed
-    | P_partial ->
-      if n > 0 then
-        Events.debug ~fields:[ ("frames", string_of_int n) ] "serve.keepalive.partial_preamble";
-      Closed
-    | P_frame first4 ->
-      if first4 = req_magic then begin
-        let ok =
-          handle_binary ?io_timeout_s ?allow_crash_op ~queue_us ~admit_depth ~jobs fd first4
-        in
-        Obs.Counter.incr m_frames;
-        let n = n + 1 in
-        if not ok then Closed
-        else if max_requests > 0 && n >= max_requests then begin
-          Obs.Counter.incr m_recycles;
-          Events.debug ~fields:[ ("frames", string_of_int n) ] "serve.conn_recycle";
-          Closed
-        end
-        else if
-          park
-          && not
-               (data_ready fd
-               || (may_linger () && data_ready ~timeout_s:keepalive_linger_s fd))
-        then Parked n
-        else frame n ~queue_us:0.0 ~admit_depth:0
-      end
-      else if n = 0 then begin
-        (* HTTP stays one-shot: Connection: close *)
-        handle_http ?io_timeout_s fd first4;
-        Closed
-      end
-      else begin
-        Events.warn
-          ~fields:[ ("frames", string_of_int n) ]
-          "serve.protocol_error";
-        Closed
-      end
-  in
-  frame frames_done ~queue_us ~admit_depth
-
-let handle_connection ?idle_timeout_s ?io_timeout_s ?allow_crash_op ?queue_us ?admit_depth
-    ?max_requests ~jobs fd =
+(* The same state machine driven on one descriptor, the job run inline:
+   what the socketpair tests and the benchmark's in-process replay
+   exercise. *)
+let handle_connection ?(idle_timeout_s = infinity) ?(io_timeout_s = infinity)
+    ?(allow_crash_op = false) ?(queue_us = 0.0) ?(admit_depth = 0) ?(max_requests = 0) ~jobs fd =
   Obs.Counter.incr m_connections;
-  match
-    serve_frames ?idle_timeout_s ?io_timeout_s ?allow_crash_op ?queue_us ?admit_depth
-      ?max_requests ~park:false ~jobs fd
-  with
-  | Closed -> ()
-  | Parked _ -> () (* unreachable: park is off *)
+  let cfg =
+    { default_config with idle_timeout_s; io_timeout_s; allow_crash_op; jobs; max_requests_per_conn = max_requests }
+  in
+  let c = make_conn cfg fd in
+  let fds = [| fd |] and evs = [| 0 |] and revs = [| 0 |] in
+  let rec drive = function
+    | Finished -> ()
+    | Dispatch j ->
+      (* the admission wait and depth the caller measured belong to the first frame *)
+      if c.frames = 0 then begin
+        j.depth <- admit_depth;
+        drive (deliver cfg c (run_job cfg { j with queued_us = queue_us }))
+      end
+      else drive (deliver cfg c (run_job cfg j))
+    | Wait ->
+      evs.(0) <- (match c.phase with Writing _ -> ev_out | _ -> ev_in);
+      if poll_fds fds evs revs 1 (poll_ms c.deadline) > 0 then drive (ready cfg c)
+      else if Obs.now_us () >= c.deadline then drive (expire c)
+      else drive Wait
+  in
+  Unix.set_nonblock fd;
+  Fun.protect
+    ~finally:(fun () -> try Unix.clear_nonblock fd with Unix.Unix_error _ -> ())
+    (fun () -> drive (ready cfg c))
 
 (* --- admission: bounded per-shard queues -------------------------------- *)
 
@@ -844,14 +914,9 @@ module Shard = struct
     id : int;
     mutex : Mutex.t;
     cond : Condition.t;
-    items : (Unix.file_descr * float * int * int) Queue.t;
-        (* (conn, enqueue instant us, queue depth seen at admission,
-           frames already served on the conn — nonzero for a keep-alive
-           connection re-admitted by the parker) *)
+    items : (conn * job) Queue.t;
     cap : int;
-    mutable draining : bool; (* no new pushes; pops run the queue dry then stop *)
-    mutable killed : bool; (* pops stop immediately; leftovers are shed *)
-    mutable current : Unix.file_descr option; (* connection the worker holds now *)
+    mutable closed : bool; (* pops stop; leftovers are shed *)
     depth : Obs.Gauge.t;
   }
 
@@ -862,9 +927,7 @@ module Shard = struct
       cond = Condition.create ();
       items = Queue.create ();
       cap = max 1 cap;
-      draining = false;
-      killed = false;
-      current = None;
+      closed = false;
       depth = Obs.Gauge.make (Printf.sprintf "serve.queue.depth.%d" id);
     }
 
@@ -874,194 +937,42 @@ module Shard = struct
 
   let set_depth t = Obs.Gauge.set t.depth (float_of_int (Queue.length t.items))
 
-  let try_push ?(frames = 0) t conn =
+  let try_push t c (j : job) =
     locked t (fun () ->
-        if t.draining || t.killed || Queue.length t.items >= t.cap then false
-        else begin
-          (* depth BEFORE this push: how much work was already ahead of
-             the request when admission accepted it — the number a tail
-             sample wants for "was the queue the problem?" *)
-          Queue.add (conn, Obs.now_us (), Queue.length t.items, frames) t.items;
-          set_depth t;
-          Condition.signal t.cond;
-          true
-        end)
+        Queue.length t.items < t.cap
+        && begin
+             (* depth BEFORE this push: how much work was already ahead of
+                the request when admission accepted it — the number a tail
+                sample wants for "was the queue the problem?" *)
+             j.depth <- Queue.length t.items;
+             Queue.add (c, j) t.items;
+             set_depth t;
+             Condition.signal t.cond;
+             true
+           end)
 
   let pop t =
     locked t (fun () ->
-        let rec go () =
-          if t.killed then None
-          else if not (Queue.is_empty t.items) then begin
-            let ((conn, _, _, _) as it) = Queue.take t.items in
-            (* recorded under the same lock that [interrupt] takes, so a
-               draining supervisor can always reach the in-flight fd *)
-            t.current <- Some conn;
-            set_depth t;
-            Some it
-          end
-          else if t.draining then None
-          else begin
-            Condition.wait t.cond t.mutex;
-            go ()
-          end
-        in
-        go ())
+        while (not t.closed) && Queue.is_empty t.items do
+          Condition.wait t.cond t.mutex
+        done;
+        if t.closed then None
+        else begin
+          let it = Queue.take t.items in
+          set_depth t;
+          Some it
+        end)
 
-  let drain t =
+  (* Stop the workers and hand back what is still queued. *)
+  let close t =
     locked t (fun () ->
-        t.draining <- true;
-        Condition.broadcast t.cond)
-
-  let kill t =
-    locked t (fun () ->
-        t.killed <- true;
-        t.draining <- true;
-        Condition.broadcast t.cond)
-
-  let is_killed t = locked t (fun () -> t.killed)
-
-  (* The worker publishes "done with my connection" here BEFORE closing
-     the fd; [interrupt] holds the same mutex across its shutdown call,
-     so it can never race a close (no use-after-close, no fd reuse). *)
-  let clear_current t = locked t (fun () -> t.current <- None)
-
-  (* Force the worker's in-flight connection to fail fast: shutting the
-     socket down makes its blocked read return EOF (and its writes
-     EPIPE), so a drain is bounded by the budget, not by the peer's
-     idle/io allowance. Returns true when there was something to cut. *)
-  let interrupt t =
-    locked t (fun () ->
-        match t.current with
-        | None -> false
-        | Some fd ->
-          (try Unix.shutdown fd Unix.SHUTDOWN_ALL with Unix.Unix_error _ -> ());
-          true)
-
-  let length t = locked t (fun () -> Queue.length t.items)
-
-  let steal_all t =
-    locked t (fun () ->
+        t.closed <- true;
+        Condition.broadcast t.cond;
         let out = List.of_seq (Queue.to_seq t.items) in
         Queue.clear t.items;
         set_depth t;
         out)
-end
 
-(* --- parker: keep-alive connections between frames ----------------------- *)
-
-(* A persistent connection with nothing to say must not pin a worker
-   domain: after the last ready frame the worker hands the fd here. The
-   parker selects over every parked fd plus a self-pipe (so a park
-   lands in the very next select), re-admits a readable connection
-   through the same bounded queues as a fresh accept, and closes one
-   idle past the inter-frame budget. Ownership is strict: an fd is the
-   worker's, the parker's, or a queue's — never two at once. *)
-module Parker = struct
-  type entry = { p_fd : Unix.file_descr; p_since_us : float; p_frames : int }
-
-  type t = {
-    mutex : Mutex.t;
-    mutable entries : entry list;
-    mutable stopped : bool;
-    wake_r : Unix.file_descr;
-    wake_w : Unix.file_descr;
-  }
-
-  let make () =
-    let wake_r, wake_w = Unix.pipe ~cloexec:true () in
-    Unix.set_nonblock wake_r;
-    Unix.set_nonblock wake_w;
-    { mutex = Mutex.create (); entries = []; stopped = false; wake_r; wake_w }
-
-  let locked t f =
-    Mutex.lock t.mutex;
-    Fun.protect ~finally:(fun () -> Mutex.unlock t.mutex) f
-
-  let close_quiet fd = try Unix.close fd with Unix.Unix_error _ -> ()
-
-  let wake t = try ignore (Unix.write_substring t.wake_w "x" 0 1) with Unix.Unix_error _ -> ()
-
-  let set_gauge n = Obs.Gauge.set m_parked (float_of_int n)
-
-  let park t ~frames fd =
-    if fd_int fd >= fd_setsize then begin
-      (* select can't watch it; close instead of crashing the parker
-         (the client treats the close as a recycle and reconnects) *)
-      Events.warn ~fields:[ ("fd", string_of_int (fd_int fd)) ] "serve.park.fd_overflow";
-      close_quiet fd
-    end
-    else begin
-      let reject =
-        locked t (fun () ->
-            if t.stopped then true
-            else begin
-              t.entries <-
-                { p_fd = fd; p_since_us = Obs.now_us (); p_frames = frames } :: t.entries;
-              set_gauge (List.length t.entries);
-              false
-            end)
-      in
-      if reject then close_quiet fd else wake t
-    end
-
-  (* Drain the self-pipe (it only carries wake-ups, never data). *)
-  let drain_pipe t =
-    let junk = Bytes.create 64 in
-    let rec go () =
-      match Unix.read t.wake_r junk 0 (Bytes.length junk) with
-      | 0 -> ()
-      | _ -> go ()
-      | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) -> ()
-      | exception Unix.Unix_error (Unix.EINTR, _, _) -> go ()
-      | exception Unix.Unix_error _ -> ()
-    in
-    go ()
-
-  let loop t stop ~idle_timeout_s ~readmit =
-    while not (Atomic.get stop) do
-      (* steal the parked set: parks during the select go to t.entries
-         and write the pipe, so the next iteration sees them *)
-      let mine = locked t (fun () -> let e = t.entries in t.entries <- []; e) in
-      let ready, keep =
-        match Unix.select (t.wake_r :: List.map (fun e -> e.p_fd) mine) [] [] 0.1 with
-        | readable, _, _ ->
-          if List.memq t.wake_r readable then drain_pipe t;
-          List.partition (fun e -> List.memq e.p_fd readable) mine
-        | exception Unix.Unix_error (Unix.EINTR, _, _) -> ([], mine)
-        | exception Unix.Unix_error _ ->
-          (* a broken descriptor in the set: re-admit everything and let
-             the per-connection reads surface the error individually *)
-          (mine, [])
-      in
-      let now = Obs.now_us () in
-      let expired e = now -. e.p_since_us > idle_timeout_s *. 1e6 in
-      let dead, keep = List.partition expired keep in
-      List.iter
-        (fun e ->
-          Obs.Counter.incr m_keepalive_idle;
-          Events.debug
-            ~fields:[ ("frames", string_of_int e.p_frames) ]
-            "serve.keepalive.idle_close";
-          close_quiet e.p_fd)
-        dead;
-      List.iter (fun e -> readmit ~frames:e.p_frames e.p_fd) ready;
-      locked t (fun () ->
-          t.entries <- keep @ t.entries;
-          set_gauge (List.length t.entries))
-    done;
-    (* stop: close every parked connection — they are idle between
-       frames, where either side may close cleanly *)
-    let leftovers =
-      locked t (fun () ->
-          t.stopped <- true;
-          let e = t.entries in
-          t.entries <- [];
-          set_gauge 0;
-          e)
-    in
-    List.iter (fun e -> close_quiet e.p_fd) leftovers;
-    close_quiet t.wake_r;
-    close_quiet t.wake_w
 end
 
 (* --- shedding ----------------------------------------------------------- *)
@@ -1072,7 +983,7 @@ let http_503 =
     "HTTP/1.0 503 Service Unavailable\r\nContent-Type: text/plain; charset=utf-8\r\nContent-Length: %d\r\nConnection: close\r\n\r\n%s"
     (String.length body) body
 
-(* Best-effort typed refusal, strictly non-blocking so the acceptor can
+(* Best-effort typed refusal, strictly non-blocking so the loop can
    never be stalled by the very overload it is shedding: peek at
    whatever the client has sent to pick the protocol (no bytes yet, or
    a CCQ1 prefix, means the binary reply), fire one write, close. *)
@@ -1132,106 +1043,55 @@ let shed_connection ?(queue_depth = 0) ~reason conn =
 
 (* --- daemon ------------------------------------------------------------- *)
 
-type config = {
-  host : string;
-  port : int;
-  jobs : int;
-  workers : int;
-  acceptors : int;
-  queue_cap : int;
-  max_requests_per_conn : int;
-  idle_timeout_s : float;
-  io_timeout_s : float;
-  drain_s : float;
-  allow_crash_op : bool;
-  slow_threshold_ms : float;
-  slow_capacity : int;
-}
-
-let default_config =
-  {
-    host = "127.0.0.1";
-    port = 7070;
-    jobs = 1;
-    workers = 2;
-    acceptors = 1;
-    queue_cap = 64;
-    max_requests_per_conn = 0;
-    idle_timeout_s = 10.0;
-    io_timeout_s = 30.0;
-    drain_s = 5.0;
-    allow_crash_op = false;
-    slow_threshold_ms = 100.0;
-    slow_capacity = 64;
-  }
-
 let set_inflight delta =
   let v = Atomic.fetch_and_add inflight delta + delta in
   Obs.Gauge.set m_inflight (float_of_int v)
 
-(* One worker's service loop; [Worker_crashed] (and anything else the
-   per-connection guard does not absorb) escapes to the supervisor.
-   A connection that finishes its visit with frames still possibly
-   coming is handed to the parker instead of closed — [park] takes
-   ownership of the fd. *)
-let worker_loop cfg shard ~park =
+(* One worker: pop a job, run it, hand the reply to the loop. A worker
+   whose loop dies is logged, counted and respawned in place — the
+   domain (and the daemon) survive; on the crash op the connection is
+   handed back to be closed without a reply. Any other failure closes
+   just that connection. A closed shard (shutdown) ends the domain. *)
+let rec supervised_worker cfg shard ~complete =
   let rec next () =
     match Shard.pop shard with
     | None -> ()
-    | Some (conn, enqueued_us, admit_depth, frames_done) ->
-      let queue_us = Obs.now_us () -. enqueued_us in
-      if Obs.metrics_enabled () then Obs.Histogram.observe m_queue_wait_us queue_us;
+    | Some (c, j) ->
+      if Obs.metrics_enabled () then
+        Obs.Histogram.observe m_queue_wait_us (Obs.now_us () -. j.t_read);
       set_inflight 1;
-      if frames_done = 0 then Obs.Counter.incr m_connections;
-      let disposition = ref Closed in
-      Fun.protect
-        ~finally:(fun () ->
-          Shard.clear_current shard;
-          (match !disposition with
-          | Parked frames -> park ~frames conn
-          | Closed -> ( try Unix.close conn with Unix.Unix_error _ -> ()));
-          set_inflight (-1))
-        (fun () ->
-          try
-            disposition :=
-              serve_frames ~idle_timeout_s:cfg.idle_timeout_s ~io_timeout_s:cfg.io_timeout_s
-                ~allow_crash_op:cfg.allow_crash_op ~queue_us ~admit_depth
-                ~max_requests:cfg.max_requests_per_conn ~park:true
-                ~may_linger:(fun () -> Shard.length shard = 0)
-                ~frames_done ~jobs:cfg.jobs conn
-          with
-          | Worker_crashed -> raise Worker_crashed
-          | Sys.Break -> raise Sys.Break
-          | e -> Events.error ~fields:[ ("error", Printexc.to_string e) ] "serve.connection_error");
+      let r =
+        match run_job cfg j with
+        | r -> r
+        | exception Worker_crashed ->
+          set_inflight (-1);
+          complete c no_reply;
+          raise Worker_crashed
+        | exception e ->
+          Events.error ~fields:[ ("error", Printexc.to_string e) ] "serve.connection_error";
+          no_reply
+      in
+      set_inflight (-1);
+      complete c r;
       next ()
   in
-  next ()
+  match next () with
+  | () -> ()
+  | exception e ->
+    Obs.Counter.incr m_worker_restarts;
+    Events.error
+      ~fields:[ ("shard", string_of_int shard.Shard.id); ("error", Printexc.to_string e) ]
+      "serve.worker.restart";
+    supervised_worker cfg shard ~complete
 
-(* Supervision: a worker whose loop dies is logged, counted and
-   respawned in place — the domain (and the daemon) survive. Only a
-   killed shard (shutdown) lets the domain return. *)
-let supervised_worker cfg shard ~park =
-  (* OCaml 5 GC alarms are domain-local: each worker domain installs its
-     own end-of-major-cycle hook for the pause estimator *)
-  Runtime.install_alarm ();
-  let rec go () =
-    match worker_loop cfg shard ~park with
-    | () -> ()
-    | exception e ->
-      Obs.Counter.incr m_worker_restarts;
-      Events.error
-        ~fields:[ ("shard", string_of_int shard.Shard.id); ("error", Printexc.to_string e) ]
-        "serve.worker.restart";
-      if not (Shard.is_killed shard) then go ()
-  in
-  go ()
+let stop_signals = [ Sys.sigterm; Sys.sigint ]
 
-let install_stop_handlers stop =
+let install_stop_handlers on_stop =
   let set sg =
-    try Some (sg, Sys.signal sg (Sys.Signal_handle (fun _ -> Atomic.set stop true)))
+    try Some (sg, Sys.signal sg (Sys.Signal_handle (fun _ -> on_stop ())))
     with Invalid_argument _ | Sys_error _ -> None
   in
-  List.filter_map set [ Sys.sigterm; Sys.sigint ]
+  List.filter_map set stop_signals
 
 let restore_handlers saved =
   List.iter
@@ -1240,7 +1100,6 @@ let restore_handlers saved =
 
 let run ?(on_ready = fun _ -> ()) cfg =
   let workers = max 1 cfg.workers in
-  let acceptors = max 1 cfg.acceptors in
   (* A daemon serving many small requests allocates far faster than it
      retains (codec scratch dies young): the stock GC settings promote
      enough of that churn to drive major cycles — and their pauses —
@@ -1254,198 +1113,318 @@ let run ?(on_ready = fun _ -> ()) cfg =
     { (Gc.get ()) with Gc.minor_heap_size = 4 * 1024 * 1024; space_overhead = 300 };
   (* a peer closing mid-write must surface as EPIPE, not kill the daemon *)
   (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore with Invalid_argument _ | Sys_error _ -> ());
-  let addr port = Unix.ADDR_INET (Unix.inet_addr_of_string cfg.host, port) in
-  let mk_socket () =
-    let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
-    Unix.setsockopt fd Unix.SO_REUSEADDR true;
-    fd
-  in
   let close_quiet fd = try Unix.close fd with Unix.Unix_error _ -> () in
-  (* listeners.(i) is acceptor i's socket. With several acceptors each
-     gets its own SO_REUSEPORT-bound socket so the kernel spreads the
-     accept load; where the platform refuses, all acceptors fall back
-     to sharing one non-blocking listener ([shared] marks the array as
-     N views of a single fd). *)
-  let listeners, shared =
-    if acceptors = 1 then begin
-      let fd = mk_socket () in
-      Unix.bind fd (addr cfg.port);
-      Unix.listen fd 128;
-      ([| fd |], false)
-    end
-    else begin
-      let opened = ref [] in
-      let bind_one port =
-        let fd = mk_socket () in
-        opened := fd :: !opened;
-        Unix.setsockopt fd Unix.SO_REUSEPORT true;
-        Unix.bind fd (addr port);
-        Unix.listen fd 128;
-        fd
-      in
-      match
-        let first = bind_one cfg.port in
-        (* cfg.port may be 0 (ephemeral): siblings must bind the
-           concrete port the kernel picked, not another random one *)
-        let port =
-          match Unix.getsockname first with Unix.ADDR_INET (_, p) -> p | _ -> cfg.port
-        in
-        Array.append [| first |] (Array.init (acceptors - 1) (fun _ -> bind_one port))
-      with
-      | arr -> (arr, false)
-      | exception Unix.Unix_error (e, _, _) ->
-        List.iter close_quiet !opened;
-        Events.warn
-          ~fields:[ ("error", Unix.error_message e) ]
-          "serve.reuseport_unavailable";
-        let fd = mk_socket () in
-        Unix.bind fd (addr cfg.port);
-        Unix.listen fd 128;
-        Unix.set_nonblock fd;
-        (Array.make acceptors fd, true)
-    end
-  in
-  let unique_listeners = if shared then [| listeners.(0) |] else listeners in
+  let listener = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+  Unix.setsockopt listener Unix.SO_REUSEADDR true;
+  Unix.bind listener (Unix.ADDR_INET (Unix.inet_addr_of_string cfg.host, cfg.port));
+  Unix.listen listener 128;
+  Unix.set_nonblock listener;
   let bound_port =
-    match Unix.getsockname listeners.(0) with Unix.ADDR_INET (_, p) -> p | _ -> cfg.port
+    match Unix.getsockname listener with Unix.ADDR_INET (_, p) -> p | _ -> cfg.port
   in
   started_at_us := Obs.now_us ();
   refresh_uptime ();
   Slow.configure ~capacity:cfg.slow_capacity ~threshold_us:(cfg.slow_threshold_ms *. 1e3) ();
   Runtime.install_alarm ();
-  Openmetrics.set_info "serve"
+  let facts =
     [
-      ("version", version);
       ("workers", string_of_int workers);
-      ("acceptors", string_of_int acceptors);
       ("jobs", string_of_int cfg.jobs);
       ("queue_cap", string_of_int cfg.queue_cap);
       ("max_requests_per_conn", string_of_int cfg.max_requests_per_conn);
       ("host", cfg.host);
       ("port", string_of_int bound_port);
-    ];
-  Events.info
-    ~fields:
-      [
-        ("host", cfg.host);
-        ("port", string_of_int bound_port);
-        ("jobs", string_of_int cfg.jobs);
-        ("workers", string_of_int workers);
-        ("acceptors", string_of_int acceptors);
-        ("queue_cap", string_of_int cfg.queue_cap);
-        ("max_requests_per_conn", string_of_int cfg.max_requests_per_conn);
-      ]
-    "serve.start";
+    ]
+  in
+  Openmetrics.set_info "serve" (("version", version) :: facts);
+  Events.info ~fields:facts "serve.start";
+  (* Workers hand replies back through [done_q]; the wake pipe gets a
+     byte only when the loop may be asleep ([wake_pending] unset). *)
+  let wake_r, wake_w = Unix.pipe ~cloexec:true () in
+  Unix.set_nonblock wake_r;
+  Unix.set_nonblock wake_w;
+  let wake () = try ignore (Unix.write_substring wake_w "x" 0 1) with Unix.Unix_error _ -> () in
+  let wake_pending = Atomic.make false in
+  let done_m = Mutex.create () and done_q = Queue.create () in
+  let complete shard c r =
+    Mutex.lock done_m;
+    Queue.add (shard, c, r) done_q;
+    Mutex.unlock done_m;
+    if not (Atomic.exchange wake_pending true) then wake ()
+  in
   let stop = Atomic.make false in
-  let saved = install_stop_handlers stop in
+  let saved =
+    install_stop_handlers (fun () ->
+        Atomic.set stop true;
+        wake ())
+  in
   let shards = Array.init workers (fun i -> Shard.make i cfg.queue_cap) in
-  (* Admission never blocks — push to a shard (round-robin with
-     overflow to siblings) or shed. Shared by acceptors and the
-     parker's re-admit path, so the counter is atomic. *)
-  let rr = Atomic.make 0 in
-  let push_rr ~frames conn =
-    let n = Array.length shards in
-    let start = Atomic.fetch_and_add rr 1 land max_int mod n in
-    let rec try_shard k =
-      k < n && (Shard.try_push ~frames shards.((start + k) mod n) conn || try_shard (k + 1))
-    in
-    if try_shard 0 then None else Some (Shard.length shards.(start))
-  in
-  let admit ?(frames = 0) conn =
-    match push_rr ~frames conn with
-    | None -> ()
-    | Some depth -> shed_connection ~queue_depth:depth ~reason:"job queue full" conn
-  in
-  let parker = Parker.make () in
-  let parker_domain =
-    Domain.spawn (fun () ->
-        Parker.loop parker stop ~idle_timeout_s:cfg.idle_timeout_s
-          ~readmit:(fun ~frames conn -> admit ~frames conn))
-  in
-  let park ~frames conn = Parker.park parker ~frames conn in
+  (* Workers inherit the spawning domain's signal mask: spawned with the
+     stop signals blocked, they leave those signals to the loop, whose
+     poll the signal interrupts. *)
+  let mask = Unix.sigprocmask Unix.SIG_BLOCK stop_signals in
   let domains =
-    Array.map (fun sh -> Domain.spawn (fun () -> supervised_worker cfg sh ~park)) shards
+    Fun.protect
+      ~finally:(fun () -> ignore (Unix.sigprocmask Unix.SIG_SETMASK mask))
+      (fun () ->
+        Array.map
+          (fun sh -> Domain.spawn (fun () -> supervised_worker cfg sh ~complete:(complete sh.Shard.id)))
+          shards)
   in
-  (* Accept loop: select with a short timeout keeps the loop responsive
-     to the stop flag even when the signal lands on another domain's
-     syscall. On the shared-listener fallback every acceptor selects on
-     the same fd; accept is non-blocking there, so losing the race is
-     just EAGAIN. *)
-  let acceptor_loop lfd =
-    try
-      while not (Atomic.get stop) do
-        match Unix.select [ lfd ] [] [] 0.2 with
-        | [], _, _ -> ()
-        | _ :: _, _, _ -> (
-          match Unix.accept ~cloexec:true lfd with
-          | conn, _ ->
-            (* keep-alive replies must not wait out a delayed ACK
-               before the next frame's response can leave the host *)
-            (try Unix.setsockopt conn Unix.TCP_NODELAY true with Unix.Unix_error _ -> ());
-            admit conn
-          | exception
-              Unix.Unix_error
-                ((Unix.EINTR | Unix.ECONNABORTED | Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) ->
-            ()
-          | exception Unix.Unix_error ((Unix.EBADF | Unix.EINVAL), _, _) -> Atomic.set stop true)
-        | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
-      done
-    with Sys.Break -> Atomic.set stop true
+  (* Admission: a connection holds one of [units] from accept (or from
+     the first byte of a new frame on an idle keep-alive connection)
+     until its reply is written, so queued plus running work never
+     exceeds what the queues and workers can hold; beyond it, shed. *)
+  let units = workers * (max 1 cfg.queue_cap + 1) and held = ref 0 in
+  let take c =
+    c.held <- !held < units;
+    if c.held then incr held;
+    c.held
   in
-  let acceptor_domains =
-    Array.init (acceptors - 1) (fun i -> Domain.spawn (fun () -> acceptor_loop listeners.(i + 1)))
+  let conns = Hashtbl.create 64 in
+  let timers = Ccomp_util.Heap.create ~cmp:(fun (a, _) (b, _) -> Float.compare a b) in
+  let draining = ref false and drain_t0 = ref 0.0 and drain_deadline = ref infinity in
+  (* [busy.(i)]: jobs pushed to shard [i] whose replies have not come
+     back. A frame goes to the least busy shard (ties rotate), so it
+     never queues behind one worker's job while another worker idles;
+     a full shard overflows to the next. *)
+  let busy = Array.make workers 0 and rr = ref 0 in
+  let release c =
+    if c.held then decr held;
+    c.held <- false
+  in
+  (* Retire a connection: closed quietly, or shed with a typed reply. *)
+  let retire ?shed c =
+    release c;
+    c.phase <- Closed;
+    c.buf <- Bytes.empty;
+    Hashtbl.remove conns c.fd;
+    match shed with
+    | None -> close_quiet c.fd
+    | Some reason -> shed_connection ~queue_depth:(Array.fold_left ( + ) 0 busy) ~reason c.fd
+  in
+  let push c j =
+    let start = ref !rr in
+    for k = 1 to workers - 1 do
+      let i = (!rr + k) mod workers in
+      if busy.(i) < busy.(!start) then start := i
+    done;
+    rr := (!rr + 1) mod workers;
+    let rec try_shard k =
+      k < workers
+      &&
+      let i = (!start + k) mod workers in
+      Shard.try_push shards.(i) c j && (busy.(i) <- busy.(i) + 1; true) || try_shard (k + 1)
+    in
+    if !draining then retire ~shed:"draining" c
+    else if not (try_shard 0) then retire ~shed:"job queue full" c
+  in
+  (* Act on a step; a connection waiting on its peer keeps its deadline
+     in the timer heap (one live entry each, re-pushed when it fires
+     early) and, once idle between frames, gives its unit back. *)
+  let settle c = function
+    | Finished -> retire c
+    | Dispatch j -> push c j
+    | Wait when c.phase = Idle && !draining -> retire c
+    | Wait ->
+      if c.phase = Idle && c.frames > 0 then release c;
+      if c.deadline < c.timer_at then begin
+        Ccomp_util.Heap.push timers (c.deadline, c);
+        c.timer_at <- c.deadline
+      end
+  in
+  (* An idle keep-alive connection takes a unit before reading the next
+     frame, or is shed. *)
+  let ready_conn c =
+    if c.phase = Idle && (not c.held) && not (take c) then retire ~shed:"job queue full" c
+    else settle c (ready cfg c)
+  in
+  let rec accept_some k =
+    if k > 0 then
+      match Unix.accept ~cloexec:true listener with
+      | fd, _ ->
+        (* keep-alive replies must not wait out a delayed ACK before the
+           next frame's response can leave the host *)
+        (try Unix.setsockopt fd Unix.TCP_NODELAY true with Unix.Unix_error _ -> ());
+        Unix.set_nonblock fd;
+        let c = make_conn cfg fd in
+        Hashtbl.replace conns fd c;
+        if take c then begin
+          Obs.Counter.incr m_connections;
+          ready_conn c
+        end
+        else retire ~shed:"job queue full" c;
+        accept_some (k - 1)
+      | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.EINTR), _, _) -> ()
+      | exception Unix.Unix_error (e, _, _) ->
+        Events.warn ~fields:[ ("error", Unix.error_message e) ] "serve.accept_error"
+  in
+  let take_done () =
+    Atomic.set wake_pending false;
+    Mutex.lock done_m;
+    let batch = List.of_seq (Queue.to_seq done_q) in
+    Queue.clear done_q;
+    Mutex.unlock done_m;
+    List.iter
+      (fun (i, c, r) ->
+        busy.(i) <- busy.(i) - 1;
+        if c.phase <> Closed then settle c (deliver cfg c r))
+      batch
+  in
+  let rec fire_timers now =
+    match Ccomp_util.Heap.peek timers with
+    | at, c when at <= now ->
+      ignore (Ccomp_util.Heap.pop timers);
+      if c.phase <> Closed && at = c.timer_at then begin
+        c.timer_at <- infinity;
+        settle c (if c.deadline <= now then expire c else Wait)
+      end;
+      fire_timers now
+    | _ -> ()
+    | exception Not_found -> ()
+  in
+  (* Drain: stop accepting, close idle connections (between frames is a
+     clean close point), shed the ones mid-frame with typed replies, and
+     let the queued and running jobs finish within the budget. *)
+  let begin_drain () =
+    draining := true;
+    drain_t0 := Obs.now_us ();
+    drain_deadline := !drain_t0 +. (cfg.drain_s *. 1e6);
+    Events.info ~fields:[ ("budget_s", Printf.sprintf "%g" cfg.drain_s) ] "serve.drain.begin";
+    close_quiet listener;
+    Hashtbl.fold (fun _ c acc -> c :: acc) conns []
+    |> List.iter (fun c ->
+           match c.phase with
+           | Idle -> retire c
+           | Reading -> retire ~shed:"draining" c
+           | Running | Writing _ | Closed -> ())
+  in
+  (* The poll set, rebuilt every turn: the wake pipe, the listener, and
+     every connection waiting on its peer. *)
+  let fds = ref [||] and evs = ref [||] and revs = ref [||] in
+  let rec loop () =
+    if Atomic.get stop && not !draining then begin_drain ();
+    if not (!draining && (Hashtbl.length conns = 0 || Obs.now_us () >= !drain_deadline)) then begin
+      let need = Hashtbl.length conns + 2 in
+      if Array.length !fds < need then begin
+        fds := Array.make (2 * need) wake_r;
+        evs := Array.make (2 * need) 0;
+        revs := Array.make (2 * need) 0
+      end;
+      let n = ref 0 in
+      let add fd ev =
+        !fds.(!n) <- fd;
+        !evs.(!n) <- ev;
+        incr n
+      in
+      add wake_r ev_in;
+      if not !draining then add listener ev_in;
+      Hashtbl.iter
+        (fun fd c ->
+          match c.phase with
+          | Idle | Reading -> add fd ev_in
+          | Writing _ -> add fd ev_out
+          | Running | Closed -> ())
+        conns;
+      let next_timer =
+        match Ccomp_util.Heap.peek timers with at, _ -> at | exception Not_found -> infinity
+      in
+      if poll_fds !fds !evs !revs !n (poll_ms (Float.min next_timer !drain_deadline)) > 0 then
+        for i = 0 to !n - 1 do
+          let fd = !fds.(i) in
+          if !revs.(i) = 0 then ()
+          else if fd = wake_r then (
+            try ignore (Unix.read wake_r (Bytes.create 64) 0 64) with Unix.Unix_error _ -> ())
+          else if fd = listener then accept_some 64
+          else Option.iter ready_conn (Hashtbl.find_opt conns fd)
+        done;
+      take_done ();
+      fire_timers (Obs.now_us ());
+      loop ()
+    end
   in
   on_ready bound_port;
-  let finish () =
-    restore_handlers saved;
-    Array.iter close_quiet unique_listeners
-  in
-  Fun.protect ~finally:finish @@ fun () ->
-  acceptor_loop listeners.(0);
-  (* Drain: stop accepting, close parked keep-alive connections (idle
-     between frames is a clean close point), give queued jobs the
-     budget, shed the rest with typed replies, join the workers, leave
-     evidence. *)
-  let t0 = Obs.now_us () in
-  Events.info ~fields:[ ("budget_s", Printf.sprintf "%g" cfg.drain_s) ] "serve.drain.begin";
-  Array.iter Domain.join acceptor_domains;
-  Array.iter close_quiet unique_listeners;
-  (* the parker sees [stop] within its select tick, closes every parked
-     fd and marks itself stopped, so workers parking after this point
-     get a close instead of a leak *)
-  Domain.join parker_domain;
-  Array.iter Shard.drain shards;
-  let deadline = t0 +. (cfg.drain_s *. 1e6) in
-  let idle () =
-    Array.for_all (fun sh -> Shard.length sh = 0) shards && Atomic.get inflight = 0
-  in
-  while Obs.now_us () < deadline && not (idle ()) do
-    Unix.sleepf 0.02
-  done;
-  Array.iter Shard.kill shards;
-  let leftovers = Array.to_list shards |> List.concat_map Shard.steal_all in
-  List.iter
-    (fun (conn, _, depth, _) -> shed_connection ~queue_depth:depth ~reason:"draining" conn)
-    leftovers;
-  (* budget spent: cut any connection still in flight so the join below
-     is bounded by the budget, not by a slow peer's idle/io allowance *)
-  let interrupted =
-    Array.fold_left (fun n sh -> if Shard.interrupt sh then n + 1 else n) 0 shards
-  in
-  if interrupted > 0 then
-    Events.warn ~fields:[ ("connections", string_of_int interrupted) ] "serve.drain.interrupt";
+  Fun.protect
+    ~finally:(fun () ->
+      restore_handlers saved;
+      if not !draining then close_quiet listener;
+      close_quiet wake_r;
+      close_quiet wake_w)
+  @@ fun () ->
+  loop ();
+  (* Budget spent (or nothing left): shed what is still queued, cut the
+     connections whose jobs still run, join the workers. *)
+  let leftovers = Array.to_list shards |> List.concat_map Shard.close in
+  List.iter (fun (c, _) -> if c.phase <> Closed then retire ~shed:"draining" c) leftovers;
+  let cut = Hashtbl.fold (fun _ c acc -> c :: acc) conns [] in
+  List.iter (fun c -> retire c) cut;
+  if cut <> [] then
+    Events.warn ~fields:[ ("connections", string_of_int (List.length cut)) ] "serve.drain.interrupt";
   Array.iter Domain.join domains;
   Events.info
     ~fields:
       [
         ("shed", string_of_int (List.length leftovers));
-        ("interrupted", string_of_int interrupted);
-        ("elapsed_s", Printf.sprintf "%.3f" ((Obs.now_us () -. t0) /. 1e6));
+        ("interrupted", string_of_int (List.length cut));
+        ("elapsed_s", Printf.sprintf "%.3f" ((Obs.now_us () -. !drain_t0) /. 1e6));
       ]
     "serve.drain.end";
   Events.info "serve.stop"
 
 (* --- clients ------------------------------------------------------------- *)
+
+(* Client reads and writes carry an optional absolute deadline, enforced
+   with SO_RCVTIMEO/SO_SNDTIMEO re-armed to the remaining budget before
+   each syscall. EINTR (a signal mid-syscall) restarts the transfer;
+   EAGAIN/EWOULDBLOCK means the timeout fired. *)
+
+let arm ~send fd deadline_us =
+  match deadline_us with
+  | None -> true
+  | Some d ->
+    let remaining = (d -. Obs.now_us ()) /. 1e6 in
+    if remaining <= 0.0 then false
+    else begin
+      (try
+         Unix.setsockopt_float fd
+           (if send then Unix.SO_SNDTIMEO else Unix.SO_RCVTIMEO)
+           (max remaining 0.001)
+       with Unix.Unix_error _ | Invalid_argument _ -> ());
+      true
+    end
+
+let read_exact ?deadline_us ~what fd n =
+  let buf = Bytes.create n in
+  let rec go pos =
+    if pos >= n then Ok (Bytes.unsafe_to_string buf)
+    else if not (arm ~send:false fd deadline_us) then Error (Timed_out what)
+    else
+      match Unix.read fd buf pos (n - pos) with
+      | 0 -> Error (Truncated (Printf.sprintf "%s (peer closed after %d of %d bytes)" what pos n))
+      | k -> go (pos + k)
+      | exception Unix.Unix_error (Unix.EINTR, _, _) -> go pos
+      | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) ->
+        Error (Timed_out what)
+      | exception Unix.Unix_error (Unix.ECONNRESET, _, _) ->
+        Error (Truncated (Printf.sprintf "%s (connection reset)" what))
+  in
+  go 0
+
+let write_all ?deadline_us ?(what = "write") fd s =
+  let n = String.length s in
+  let rec go pos =
+    if pos >= n then Ok ()
+    else if not (arm ~send:true fd deadline_us) then Error (Timed_out what)
+    else
+      match Unix.write_substring fd s pos (n - pos) with
+      | k -> go (pos + k)
+      | exception Unix.Unix_error (Unix.EINTR, _, _) -> go pos
+      | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) ->
+        Error (Timed_out what)
+      | exception Unix.Unix_error ((Unix.EPIPE | Unix.ECONNRESET), _, _) ->
+        Error (Truncated (Printf.sprintf "%s (peer closed)" what))
+  in
+  go 0
 
 let describe_timeout ~host ~port timeout_s what =
   Printf.sprintf "%s:%d: timed out%s during %s (daemon dead or overloaded?)" host port
@@ -1480,45 +1459,20 @@ let connect_fd ?timeout_s ~host ~port () =
           | () -> ()
           | exception Unix.Unix_error ((Unix.EINPROGRESS | Unix.EWOULDBLOCK), _, _) ->
             let deadline = Obs.now_us () +. (t *. 1e6) in
-            if fd_int fd >= fd_setsize then begin
-              (* select cannot watch this fd (FD_SETSIZE): poll
-                 connect(2) itself until it reports a verdict *)
-              let rec poll () =
-                match Unix.connect fd ai.Unix.ai_addr with
-                | () -> ()
-                | exception Unix.Unix_error (Unix.EISCONN, _, _) -> ()
-                | exception
-                    Unix.Unix_error
-                      ( (Unix.EALREADY | Unix.EINPROGRESS | Unix.EWOULDBLOCK | Unix.EINTR),
-                        _,
-                        _ ) ->
-                  if Obs.now_us () >= deadline then
-                    raise (Unix.Unix_error (Unix.ETIMEDOUT, "connect", ""))
-                  else begin
-                    Unix.sleepf 0.01;
-                    poll ()
-                  end
-              in
-              poll ()
-            end
-            else begin
-              (* EINTR (or a spurious wake) retries with the REMAINING
-                 budget — a signal mid-wait must not misreport as
-                 ETIMEDOUT, and repeated signals must not extend it *)
-              let rec wait () =
-                let left = (deadline -. Obs.now_us ()) /. 1e6 in
-                if left <= 0.0 then raise (Unix.Unix_error (Unix.ETIMEDOUT, "connect", ""))
-                else
-                  match Unix.select [] [ fd ] [] left with
-                  | _, [], _ -> wait ()
-                  | _ -> (
-                    match Unix.getsockopt_error fd with
-                    | None -> ()
-                    | Some e -> raise (Unix.Unix_error (e, "connect", "")))
-                  | exception Unix.Unix_error (Unix.EINTR, _, _) -> wait ()
-              in
-              wait ()
-            end);
+            (* EINTR (or a spurious wake) retries with the REMAINING
+               budget — a signal mid-wait must not misreport as
+               ETIMEDOUT, and repeated signals must not extend it *)
+            let fds = [| fd |] and evs = [| ev_out |] and revs = [| 0 |] in
+            let rec wait () =
+              if Obs.now_us () >= deadline then
+                raise (Unix.Unix_error (Unix.ETIMEDOUT, "connect", ""))
+              else if poll_fds fds evs revs 1 (poll_ms deadline) = 0 then wait ()
+              else
+                match Unix.getsockopt_error fd with
+                | None -> ()
+                | Some e -> raise (Unix.Unix_error (e, "connect", ""))
+            in
+            wait ());
           Unix.clear_nonblock fd;
           (try
              Unix.setsockopt_float fd Unix.SO_RCVTIMEO t;
@@ -1607,7 +1561,7 @@ module Conn = struct
       try Unix.close t.fd with Unix.Unix_error _ -> ()
     end
 
-  let deadline t = deadline_after_s t.timeout_s
+  let deadline t = Option.map (fun s -> Obs.now_us () +. (s *. 1e6)) t.timeout_s
 
   (* Replies are read by frame, not to EOF — the connection stays open
      for the next request. EOF before the FIRST header byte on a reused
@@ -1752,13 +1706,7 @@ let http_get ?timeout_s ~host ~port target =
           match status with
           | None -> Error "malformed HTTP status"
           | Some status ->
-            let body =
-              let rec find j =
-                if j + 4 > String.length raw then String.length raw
-                else if String.sub raw j 4 = "\r\n\r\n" then j + 4
-                else find (j + 1)
-              in
-              let start = find 0 in
-              String.sub raw start (String.length raw - start)
-            in
+            let n = String.length raw in
+            let start = Option.value (head_end (String.get raw) n) ~default:n in
+            let body = String.sub raw start (n - start) in
             Ok (status, body))))

@@ -1,9 +1,8 @@
 (** [ccomp serve]: a dependency-free, overload-safe compression daemon.
 
-    The TCP listener (plain [Unix] sockets — [acceptors] of them, on
-    [SO_REUSEPORT] siblings where the platform allows) speaks two
-    protocols, distinguished by the first four bytes of each
-    connection:
+    One TCP listener (plain [Unix] sockets, served from a [poll(2)]
+    loop) speaks two protocols, distinguished by the first four bytes
+    of each connection:
 
     {ul
     {- a length-prefixed binary job protocol ({!section-protocol}) for
@@ -25,27 +24,28 @@
 
     The daemon degrades predictably instead of stalling:
 
-    - {b Admission}: the acceptor pushes each connection onto a bounded
-      per-worker queue. When every queue is full the connection is
+    - {b Admission}: a connection holds one of [workers * (queue_cap +
+      1)] units from accept (or from the first byte of a keep-alive
+      frame) until its reply is written. One that finds none free is
       {e shed} — a typed {!Overloaded} reply (or HTTP 503) written
       non-blockingly, then closed — so accepts never stall behind slow
       consumers ([serve.shed_total] counts the sheds, the
-      [serve.queue.depth.N] gauges expose the queues).
+      [serve.queue.depth.N] gauges expose the per-worker queues).
     - {b Per-request deadlines}: the CCQ1 header carries a relative
       [deadline_ms] budget; the daemon answers {!Deadline_expired}
       (status 3, counted in [serve.deadline_expired_total]) when the
       budget is spent before, during or after decode rather than doing
       work nobody is waiting for.
     - {b Per-connection budgets}: an idle timeout on the first byte, an
-      i/o deadline per frame (re-armed to the remaining budget before
-      every read/write, so slowloris peers are bounded), counted in
-      [serve.io_timeouts]. In-flight work is bounded by the worker
-      count; queued work by [workers * queue_cap].
-    - {b Graceful drain}: SIGTERM/SIGINT stop the accept loop, let
-      workers finish queued jobs within [drain_s], shed the remainder
-      with typed replies, force-shutdown any connection still in
-      flight once the budget is spent (so a silent peer cannot hold
-      the join past [drain_s]; counted in the [serve.drain.interrupt]
+      i/o deadline for each request frame and each reply (so slowloris
+      peers are bounded), counted in [serve.io_timeouts]. In-flight
+      work is bounded by the worker count; queued work by
+      [workers * queue_cap].
+    - {b Graceful drain}: SIGTERM/SIGINT stop accepting and close idle
+      connections, let workers finish queued and running jobs within
+      [drain_s], shed the remainder (and frames caught mid-read) with
+      typed replies, close any connection still waiting on a job once
+      the budget is spent (counted in the [serve.drain.interrupt]
       event), join the workers and flush telemetry
       ([serve.drain.begin]/[serve.drain.end] events).
     - {b Supervision}: a worker whose loop dies is logged, counted in
@@ -56,10 +56,11 @@
     {2 Explaining the tail}
 
     With metrics on, every binary request additionally records what the
-    OCaml runtime did to it: [Gc.quick_stat] probes at each stage
-    boundary give per-stage GC deltas (collections and words allocated
-    on the serving domain), folded into the global [runtime.*] counters
-    by {!Ccomp_obs.Runtime.sample}; each worker domain installs a
+    OCaml runtime did during it: [Gc.quick_stat] probes at each stage
+    boundary give per-stage GC deltas — process-wide on OCaml 5.1, so
+    they include every domain's work meanwhile — and the process's
+    growth is folded into the [runtime.*] counters by
+    {!Ccomp_obs.Runtime.sample}; the loop installs the one
     [Gc.create_alarm] hook that feeds the [runtime.gc.major_pause_us]
     estimator. Requests slower than [slow_threshold_ms] — and {e all}
     shed / deadline-expired outcomes — land in the bounded {!Slow} ring
@@ -79,13 +80,12 @@
     [serve_keepalive_idle_closes_total]) or when a connection reaches
     [max_requests_per_conn] frames (a {e recycle}, counted in
     [serve_conn_recycles_total]; clients treat the close-between-frames
-    as a signal to reconnect and resend). Io budgets are re-armed per
-    frame. Between frames an idle connection does not pin a worker
-    domain: it is handed to a parker domain that selects over all
-    parked fds ([serve_parked] gauge) and re-admits a connection
-    through the bounded queues when bytes arrive. [serve_frames_total]
-    counts frames served, [serve_connections_total] connections — their
-    ratio is the realised reuse factor.
+    as a signal to reconnect and resend). One frame per connection is in
+    flight at a time, so pipelined frames are answered in order.
+    Between frames a connection only waits in the loop's poll set: no
+    worker, no admission unit, no cap on descriptor numbers.
+    [serve_frames_total] counts frames served, [serve_connections_total]
+    connections — their ratio is the realised reuse factor.
 
     {2:protocol Wire format}
 
@@ -197,28 +197,28 @@ val handle_connection :
   Unix.file_descr ->
   unit
 (** Serve one connection to completion on an already-accepted
-    descriptor: sniff the 4-byte preamble, then loop — a CCQ1 frame is
-    answered and the loop waits for the next preamble (keep-alive); an
-    HTTP request is answered one-shot. Reads and writes retry over
-    [EINTR] and short transfers; [idle_timeout_s] bounds the wait for
-    each frame's first byte (the inter-frame gap) and [io_timeout_s]
+    descriptor with the daemon's own connection state machine, each job
+    run inline: sniff the 4-byte preamble, then loop — a CCQ1 frame is
+    answered and the loop waits for the next (keep-alive); an HTTP
+    request is answered one-shot. The descriptor is non-blocking while
+    served (blocking again on return); [idle_timeout_s] bounds the wait
+    for each frame's first byte (the inter-frame gap) and [io_timeout_s]
     bounds each frame and each response (both default to unbounded, for
     driving the framing path over a socketpair in tests).
     [max_requests] (default [0] = unbounded) closes the connection
     after that many frames — the recycle bound. [queue_us] (default
-    [0.]) is how long the connection waited in the admission queue —
-    the daemon passes its measured wait so the queue stage lands in
-    {!Latency} and the echoed {!timing}. [admit_depth] (default [0]) is
-    the shard queue length observed when the connection was admitted,
-    recorded in any {!Slow} tail sample. The descriptor is not
-    closed. *)
+    [0.]) is how long the connection waited for admission before the
+    call; it is charged to the first frame's queue stage in {!Latency}
+    and the echoed {!timing}. [admit_depth] (default [0]) is the queue
+    length seen at that admission, recorded in the first frame's {!Slow}
+    tail sample. The descriptor is not closed. Raises {!Worker_crashed}
+    on an allowed crash op. *)
 
 type config = {
   host : string;  (** address to bind (default ["127.0.0.1"]) *)
   port : int;  (** [0] picks an ephemeral port *)
   jobs : int;  (** block-codec domains per job *)
   workers : int;  (** worker domains, one bounded queue each *)
-  acceptors : int;  (** acceptor domains ([SO_REUSEPORT] siblings) *)
   queue_cap : int;  (** per-worker queue bound; beyond it, shed *)
   max_requests_per_conn : int;  (** recycle bound; [0] = unbounded *)
   idle_timeout_s : float;  (** inter-frame gap budget per connection *)
@@ -231,7 +231,7 @@ type config = {
 
 val default_config : config
 (** [{host = "127.0.0.1"; port = 7070; jobs = 1; workers = 2;
-    acceptors = 1; queue_cap = 64; max_requests_per_conn = 0;
+    queue_cap = 64; max_requests_per_conn = 0;
     idle_timeout_s = 10.; io_timeout_s = 30.; drain_s = 5.;
     allow_crash_op = false; slow_threshold_ms = 100.;
     slow_capacity = 64}] *)
@@ -239,20 +239,19 @@ val default_config : config
 val run : ?on_ready:(int -> unit) -> config -> unit
 (** Bind, call [on_ready] with the bound port, then serve until
     SIGTERM/SIGINT, which trigger the graceful drain described above.
-    Acceptor 0 runs on the calling domain; [acceptors - 1] more
-    domains accept on [SO_REUSEPORT] sibling sockets (or share one
-    non-blocking listener where the option is unavailable), [workers]
-    extra domains consume the shard queues, and one parker domain
-    holds keep-alive connections between frames. SIGPIPE is ignored
-    for the process (a peer closing mid-write must surface as [EPIPE],
-    not kill the daemon). *)
+    The calling domain runs the daemon's one [poll(2)] loop: accept,
+    request reassembly, deadlines and reply writes. [workers] more
+    domains (with SIGTERM/SIGINT blocked, so the signals interrupt the
+    loop's wait) run the queued requests and hand the replies back.
+    SIGPIPE is ignored for the process (a peer closing mid-write must
+    surface as [EPIPE], not kill the daemon). *)
 
 (** {2 Clients}
 
     Minimal clients for the two protocols — what [ccomp submit],
     [ccomp scrape], [ccomp top], [ccomp loadgen] and the chaos harness
     use. All take [?timeout_s], covering connect (non-blocking +
-    select, every [getaddrinfo] candidate tried in order) and each
+    [poll(2)], every [getaddrinfo] candidate tried in order) and each
     read/write (socket timeouts), so a dead or wedged daemon produces a
     clear error instead of a hang. *)
 

@@ -17,6 +17,7 @@ module Samc = Ccomp_core.Samc
 module Sadc = Ccomp_core.Sadc
 module Obs = Ccomp_obs.Obs
 module Verify = Ccomp_verify.Verify
+module Serve = Ccomp_serve.Serve
 
 let words () =
   let _, promoted, major = Gc.counters () in
@@ -82,4 +83,42 @@ let test_budgets () =
       check_budget (name ^ " sadc compress") ~measured_at:sadc_at ~bound:sadc_bound sadc)
     budgets
 
-let suite = [ Alcotest.test_case "compress allocation per input KB" `Quick test_budgets ]
+(* The wire encoders must build each frame once: one string of the frame
+   length (header words included) plus at most [frame_slack] words of
+   bookkeeping. Joining fields with [^] copied a 4 KiB payload about
+   eight times (26 KB per request frame). *)
+let frame_slack = 32.
+
+let string_words len = float_of_int ((len / (Sys.word_size / 8)) + 2)
+
+let test_frame_encoders () =
+  let payload = String.init 4096 (fun i -> Char.chr (i land 0xff)) in
+  let timing =
+    { Serve.t_request_id = 7L; t_queue_us = 1; t_service_us = 2; t_server_us = 3 }
+  in
+  let cases =
+    [
+      ("encode_request", fun () -> Serve.encode_request ~deadline_ms:5 ~request_id:9L (Serve.Decompress payload));
+      ("encode_response", fun () -> Serve.encode_response (Serve.Payload payload));
+      ("encode_response with timing", fun () -> Serve.encode_response ~timing (Serve.Payload payload));
+    ]
+  in
+  List.iter
+    (fun (name, f) ->
+      let frame = f () in
+      let w0 = words () in
+      let s = Sys.opaque_identity (f ()) in
+      let got = words () -. w0 in
+      let bound = string_words (String.length s) +. frame_slack in
+      Alcotest.(check string) (name ^ " is deterministic") frame s;
+      Alcotest.(check bool)
+        (Printf.sprintf "%s: %.0f words for a %d-byte frame, within %.0f" name got
+           (String.length s) bound)
+        true (got <= bound))
+    cases
+
+let suite =
+  [
+    Alcotest.test_case "compress allocation per input KB" `Quick test_budgets;
+    Alcotest.test_case "frame encoders allocate the frame once" `Quick test_frame_encoders;
+  ]

@@ -1,6 +1,7 @@
-(* Runtime telemetry: per-domain deltas are non-negative, the global
-   counters are monotone however many domains sample concurrently, and
-   the major-cycle alarm actually fires. Every test restores the
+(* Runtime telemetry: deltas are non-negative, the global counters are
+   monotone however many domains sample concurrently, they add up to
+   what the process allocated however many domains sample, and the
+   major-cycle alarm fires once per cycle. Every test restores the
    metrics-off default so suites stay independent. *)
 
 module Obs = Ccomp_obs.Obs
@@ -197,8 +198,90 @@ let test_sample_refreshes_gauges () =
       | Some v -> Alcotest.(check bool) "space_overhead mirrors Gc params" true (v > 0.0)
       | None -> Alcotest.fail "runtime.gc.space_overhead gauge missing after sample")
 
+(* --- conservation: the counters add up to what the process did ---------- *)
+
+(* Exactly [w] words on the minor heap, in 16-word blocks (a 15-field
+   array plus its header). *)
+let alloc_words w =
+  for _ = 1 to w / 16 do
+    ignore (Sys.opaque_identity (Array.make 15 0))
+  done
+
+let words_per_domain = 2_000_000
+
+(* [k] domains each allocate [words_per_domain] words and sample before
+   and after: every domain samples, yet the words are booked once. *)
+let test_minor_words_conserved k () =
+  isolated (fun () ->
+      Obs.set_metrics true;
+      Gc.minor ();
+      ignore (Runtime.sample ());
+      let before = counter_value (Obs.snapshot ()) "runtime.gc.minor_words" in
+      let domains =
+        List.init k (fun _ ->
+            Domain.spawn (fun () ->
+                ignore (Runtime.sample ());
+                alloc_words words_per_domain;
+                Gc.minor ();
+                ignore (Runtime.sample ())))
+      in
+      List.iter Domain.join domains;
+      Gc.minor ();
+      ignore (Runtime.sample ());
+      let got = counter_value (Obs.snapshot ()) "runtime.gc.minor_words" - before in
+      let want = k * words_per_domain in
+      Alcotest.(check bool)
+        (Printf.sprintf "%d sampling domains: %d minor words booked for %d allocated" k got want)
+        true
+        (abs (got - want) * 20 <= want))
+
+(* Major cycles forced on this domain while [k - 1] more domains are
+   alive, have sampled and have asked for the alarm: the count must not
+   depend on [k]. *)
+let cycles_with k =
+  isolated (fun () ->
+      Obs.set_metrics true;
+      Runtime.install_alarm ();
+      let stop = Atomic.make false and ready = Atomic.make 0 in
+      let domains =
+        List.init (k - 1) (fun _ ->
+            Domain.spawn (fun () ->
+                Runtime.install_alarm ();
+                ignore (Runtime.sample ());
+                Atomic.incr ready;
+                while not (Atomic.get stop) do
+                  Domain.cpu_relax ()
+                done))
+      in
+      while Atomic.get ready < k - 1 do
+        Domain.cpu_relax ()
+      done;
+      let before = counter_value (Obs.snapshot ()) "runtime.gc.major_cycles" in
+      Gc.full_major ();
+      Gc.full_major ();
+      (* give every live domain time to run its end-of-cycle hooks *)
+      Unix.sleepf 0.05;
+      Atomic.set stop true;
+      List.iter Domain.join domains;
+      counter_value (Obs.snapshot ()) "runtime.gc.major_cycles" - before)
+
+let test_major_cycles_counted_once () =
+  let one = cycles_with 1 in
+  Alcotest.(check bool) (Printf.sprintf "forced majors counted (%d)" one) true (one > 0);
+  List.iter
+    (fun k -> Alcotest.(check int) (Printf.sprintf "major cycles with %d sampling domains" k) one (cycles_with k))
+    [ 2; 4 ]
+
 let suite =
   [
+    Alcotest.test_case "minor words add up with 1 sampling domain" `Quick
+      (test_minor_words_conserved 1);
+    Alcotest.test_case "minor words add up with 2 sampling domains" `Quick
+      (test_minor_words_conserved 2);
+    Alcotest.test_case "minor words add up with 4 sampling domains" `Quick
+      (test_minor_words_conserved 4);
+    Alcotest.test_case "major cycles do not scale with sampling domains" `Quick
+      test_major_cycles_counted_once;
     Alcotest.test_case "everything is a no-op with metrics off" `Quick test_disabled;
     Alcotest.test_case "stage deltas: zero on None, clamped on swap" `Quick test_stage_delta;
     QCheck_alcotest.to_alcotest qcheck_delta_nonneg;

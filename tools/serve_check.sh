@@ -8,8 +8,7 @@
 # usage: serve_check.sh CCOMP_EXE
 #
 # Checks:
-#   1. `ccomp serve --port 0 --acceptors 2` boots and reports its
-#      bound port.
+#   1. `ccomp serve --port 0` boots and reports its bound port.
 #   2. a served compress job (`ccomp submit`) is byte-identical to the
 #      offline `ccomp compress` output, and a served decompress job
 #      round-trips the image back to the original bytes; the same
@@ -29,8 +28,11 @@
 #      connect for its whole run (reuse recorded in the bench json),
 #      and the daemon's frames counter far exceeds its connections
 #      counter afterwards.
-#   6. SIGTERM stops the daemon promptly and gracefully (exit 0: the
-#      accept loop absorbs the break, closes the listener and flushes
+#   6. 2000 keep-alive connections, each idle for most of the run and
+#      reused at least twice, are all kept: the loadgen pays exactly
+#      2000 connects, no reconnects, and every request is answered.
+#   7. SIGTERM stops the daemon promptly and gracefully (exit 0: the
+#      loop absorbs the break, closes the listener and flushes
 #      telemetry before returning).
 set -eu
 
@@ -66,13 +68,16 @@ trap 'exit 129' HUP
 
 fail() { echo "serve_check: $*" >&2; exit 1; }
 
+# check 6 holds 2000 connections open on each side of the loopback
+[ "$(ulimit -n)" = unlimited ] || [ "$(ulimit -n)" -ge 4096 ] || ulimit -n 4096 2>/dev/null || :
+
 "$ccomp" generate --profile go --scale 0.15 --seed 17 -o "$dir/code.bin" >/dev/null
 
-# -- 1: boot on an ephemeral port with a sharded accept path ------------
+# -- 1: boot on an ephemeral port --------------------------------------
 # the background job opens its log asynchronously; the port poll below
 # must not race it (a missing file fails sed under set -e)
 : > "$dir/serve.log"
-"$ccomp" serve --port 0 --acceptors 2 > "$dir/serve.log" 2>&1 &
+"$ccomp" serve --port 0 > "$dir/serve.log" 2>&1 &
 serve_pid=$!
 
 port=
@@ -122,8 +127,6 @@ grep -q '^serve_info{.*version=".*".*} 1$' "$dir/metrics.txt" \
   || fail "/metrics: serve_info lacks a version label or constant-1 value"
 grep -q '^serve_info{.*port="'"$port"'".*} 1$' "$dir/metrics.txt" \
   || fail "/metrics: serve_info does not carry the bound port"
-grep -q '^serve_info{.*acceptors="2".*} 1$' "$dir/metrics.txt" \
-  || fail "/metrics: serve_info does not carry the acceptor count"
 # uptime gauge: non-negative and refreshed at scrape time
 grep -q '^# TYPE serve_uptime_seconds gauge$' "$dir/metrics.txt" \
   || fail "/metrics: no serve_uptime_seconds gauge"
@@ -188,11 +191,27 @@ conns=$(awk '/^serve_connections_total /{print $2}' "$dir/metrics2.txt")
 [ "$frames" -ge $((conns + 50)) ] \
   || fail "/metrics: frames ($frames) do not exceed connections ($conns) — keep-alive is not keeping connections alive"
 
-# -- 6: clean shutdown on SIGTERM ---------------------------------------
+# -- 6: 2000 idle keep-alive connections stay open ---------------------
+# one sender cycles its 2000 connection slots in order, so 6400 uniform
+# arrivals use every connection three or four times, each after ~2000
+# other requests: every connection sits idle between its frames
+"$ccomp" loadgen --port "$port" --conns 2000 --senders 1 --arrivals uniform \
+  --rate 2000 --duration 3.2 --mix-ping 1 --mix-compress 0 --mix-decompress 0 \
+  --emit-json "$dir/idle.json" > "$dir/idle.log" 2>&1 \
+  || fail "2000-connection loadgen failed: $(cat "$dir/idle.log")"
+key() { sed -n "s/^ *\"loadgen\.$1\": \([0-9.]*\),*\$/\1/p" "$dir/idle.json"; }
+[ "$(key conns)" = 2000.000 ] || fail "idle connections: $(key conns) slots, want 2000"
+[ "$(key connects)" = 2000.000 ] || fail "idle connections: $(key connects) connects, want 2000"
+[ "$(key reconnects)" = 0.000 ] \
+  || fail "idle connections: $(key reconnects) reconnects — the daemon closed idle connections"
+[ "$(key sent)" = 6400.000 ] && [ "$(key ok)" = 6400.000 ] \
+  || fail "idle connections: $(key ok) of $(key sent) requests answered, want 6400 of 6400"
+
+# -- 7: clean shutdown on SIGTERM ---------------------------------------
 kill -TERM "$serve_pid"
 status=0
 wait "$serve_pid" || status=$?
 serve_pid=
 [ "$status" -eq 0 ] || fail "daemon exit status $status on SIGTERM (want graceful 0)"
 
-echo "serve_check: OK (boot, byte-identity, OpenMetrics scrape, events, clean shutdown)"
+echo "serve_check: OK (boot, byte-identity, OpenMetrics scrape, events, 2000 idle connections, clean shutdown)"
